@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet lint ci clean
+.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet lint api-size ci clean
 
 ## build: compile every package and command
 build:
@@ -142,6 +142,12 @@ lint:
 	@command -v golangci-lint >/dev/null 2>&1 \
 		&& golangci-lint run ./... \
 		|| echo "golangci-lint not installed; skipping (CI runs it as a blocking job)"
+
+## api-size: per-package non-test Go lines and exported identifiers,
+## plus a total (print-only; compare the table across commits to see
+## what a simplification removed)
+api-size:
+	./scripts/api_size.sh
 
 ## ci: every blocking CI step, in CI's order
 ci: build vet test race conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke

@@ -87,8 +87,8 @@ func perfLog(b *testing.B) *failures.Log {
 }
 
 // BenchmarkPerfIndexedStudy100k is the headline acceptance benchmark:
-// the full RQ1-RQ5 battery (core.Run through the shared memoized index)
-// over the 100k-record log.
+// the full RQ1-RQ5 battery (core.Run through the shared memoized index,
+// at the facade's default pool width) over the 100k-record log.
 func BenchmarkPerfIndexedStudy100k(b *testing.B) {
 	log := perfLog(b)
 	b.ResetTimer()
@@ -98,20 +98,6 @@ func BenchmarkPerfIndexedStudy100k(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(log.Len()), "records")
-}
-
-// BenchmarkPerfIndexedStudy100kParallel fans the same battery out across
-// every core; the phases share one index, so the parallel speedup now
-// comes on top of the single-sort savings rather than re-deriving the
-// same partitions per phase.
-func BenchmarkPerfIndexedStudy100kParallel(b *testing.B) {
-	log := perfLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(log, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPerfIndexBuild100k measures a cold index: one View built and
@@ -173,18 +159,6 @@ func BenchmarkPerfFitAll100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dist.FitAll(hours); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPerfFitAllSorted100k measures the same sweep entered through
-// a pre-sorted arena: the sort drops out entirely.
-func BenchmarkPerfFitAllSorted100k(b *testing.B) {
-	sorted := index.New(perfLog(b)).SortedRecoveryHours()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dist.FitAllSorted(sorted); err != nil {
 			b.Fatal(err)
 		}
 	}

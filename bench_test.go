@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
@@ -85,10 +86,10 @@ func BenchmarkFig2(b *testing.B) {
 	var shares2, shares3 []core.CategoryShare
 	for i := 0; i < b.N; i++ {
 		var err error
-		if shares2, err = core.CategoryBreakdown(t2); err != nil {
+		if shares2, err = core.CategoryBreakdown(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if shares3, err = core.CategoryBreakdown(t3); err != nil {
+		if shares3, err = core.CategoryBreakdown(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +107,7 @@ func BenchmarkFig3(b *testing.B) {
 	var causes []core.CauseShare
 	for i := 0; i < b.N; i++ {
 		var err error
-		if causes, err = core.SoftwareCauses(t3, 16); err != nil {
+		if causes, err = core.SoftwareCauses(index.New(t3), 16); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,10 +124,10 @@ func BenchmarkFig4(b *testing.B) {
 	var bins2, bins3 []core.NodeCountBin
 	for i := 0; i < b.N; i++ {
 		var err error
-		if bins2, err = core.NodeFailureCounts(t2); err != nil {
+		if bins2, err = core.NodeFailureCounts(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if bins3, err = core.NodeFailureCounts(t3); err != nil {
+		if bins3, err = core.NodeFailureCounts(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,10 +144,10 @@ func BenchmarkFig5(b *testing.B) {
 	var slots2, slots3 []core.SlotShare
 	for i := 0; i < b.N; i++ {
 		var err error
-		if slots2, err = core.GPUSlotDistribution(t2); err != nil {
+		if slots2, err = core.GPUSlotDistribution(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if slots3, err = core.GPUSlotDistribution(t3); err != nil {
+		if slots3, err = core.GPUSlotDistribution(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,10 +164,10 @@ func BenchmarkTableIII(b *testing.B) {
 	var rows2, rows3 []core.InvolvementRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows2, err = core.MultiGPUInvolvement(t2); err != nil {
+		if rows2, err = core.MultiGPUInvolvement(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if rows3, err = core.MultiGPUInvolvement(t3); err != nil {
+		if rows3, err = core.MultiGPUInvolvement(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,10 +184,10 @@ func BenchmarkFig6(b *testing.B) {
 	var r2, r3 *core.TBFResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if r2, err = core.TBFAnalysis(t2); err != nil {
+		if r2, err = core.TBFAnalysis(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if r3, err = core.TBFAnalysis(t3); err != nil {
+		if r3, err = core.TBFAnalysis(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,21 +206,21 @@ func BenchmarkFig7(b *testing.B) {
 	var perType2, perType3 []core.CategoryDurations
 	for i := 0; i < b.N; i++ {
 		var err error
-		if perType2, err = core.TBFByCategory(t2, 5); err != nil {
+		if perType2, err = core.TBFByCategory(index.New(t2), 5); err != nil {
 			b.Fatal(err)
 		}
-		if perType3, err = core.TBFByCategory(t3, 5); err != nil {
+		if perType3, err = core.TBFByCategory(index.New(t3), 5); err != nil {
 			b.Fatal(err)
 		}
 	}
 	if len(perType2) == 0 || len(perType3) == 0 {
 		b.Fatal("empty per-type TBF")
 	}
-	gpu2, _ := core.GPUCardIncidentMTBF(t2)
-	gpu3, _ := core.GPUCardIncidentMTBF(t3)
+	gpu2, _ := core.GPUCardIncidentMTBF(index.New(t2))
+	gpu3, _ := core.GPUCardIncidentMTBF(index.New(t3))
 	b.ReportMetric(gpu3/gpu2, "gpu_mtbf_improvement_x")
-	cpu2, _ := core.CategoryMTBF(t2, failures.CatCPU)
-	cpu3, _ := core.CategoryMTBF(t3, failures.CatCPU)
+	cpu2, _ := core.CategoryMTBF(index.New(t2), failures.CatCPU)
+	cpu3, _ := core.CategoryMTBF(index.New(t3), failures.CatCPU)
 	b.ReportMetric(cpu3/cpu2, "cpu_mtbf_improvement_x")
 }
 
@@ -231,7 +232,7 @@ func BenchmarkFig8(b *testing.B) {
 	var res *core.MultiGPUTemporalResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = core.MultiGPUTemporal(t2, 72); err != nil {
+		if res, err = core.MultiGPUTemporal(index.New(t2), 72); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,10 +248,10 @@ func BenchmarkFig9(b *testing.B) {
 	var r2, r3 *core.TTRResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if r2, err = core.TTRAnalysis(t2); err != nil {
+		if r2, err = core.TTRAnalysis(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if r3, err = core.TTRAnalysis(t3); err != nil {
+		if r3, err = core.TTRAnalysis(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,16 +269,16 @@ func BenchmarkFig10(b *testing.B) {
 	var perType2, perType3 []core.CategoryDurations
 	for i := 0; i < b.N; i++ {
 		var err error
-		if perType2, err = core.TTRByCategory(t2, 2); err != nil {
+		if perType2, err = core.TTRByCategory(index.New(t2), 2); err != nil {
 			b.Fatal(err)
 		}
-		if perType3, err = core.TTRByCategory(t3, 2); err != nil {
+		if perType3, err = core.TTRByCategory(index.New(t3), 2); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(maxOf(perType2, failures.CatSSD), "t2_ssd_max_h")
 	b.ReportMetric(maxOf(perType3, failures.CatPowerBoard), "t3_powerboard_max_h")
-	spread2, err := core.TTRSpread(t2)
+	spread2, err := core.TTRSpread(index.New(t2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -292,10 +293,10 @@ func BenchmarkFig11(b *testing.B) {
 	var sc2, sc3 core.SeasonalCorrelation
 	for i := 0; i < b.N; i++ {
 		var err error
-		if sc2, err = core.SeasonalAnalysis(t2); err != nil {
+		if sc2, err = core.SeasonalAnalysis(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if sc3, err = core.SeasonalAnalysis(t3); err != nil {
+		if sc3, err = core.SeasonalAnalysis(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,10 +313,10 @@ func BenchmarkFig12(b *testing.B) {
 	var sc core.SeasonalCorrelation
 	for i := 0; i < b.N; i++ {
 		var err error
-		if buckets, err = core.MonthlySeasonality(t2); err != nil {
+		if buckets, err = core.MonthlySeasonality(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if sc, err = core.SeasonalAnalysis(t2); err != nil {
+		if sc, err = core.SeasonalAnalysis(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -334,7 +335,7 @@ func BenchmarkPerfErrorProportionality(b *testing.B) {
 	var cmp *core.Comparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		if cmp, err = core.Compare(t2, t3); err != nil {
+		if cmp, err = core.Compare(t2, t3, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -513,7 +514,7 @@ func BenchmarkFullStudySequential(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 1); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -526,7 +527,7 @@ func BenchmarkParallelFullStudy(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 0); err != nil {
+		if _, err := core.Run(t2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -599,31 +600,16 @@ func BenchmarkParallelSimTrials(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "pool_width")
 }
 
-// BenchmarkRollingMTBFSequential scans fine-grained rolling windows
-// (7-day step over the full Tsubame-2 span) on one worker: the baseline
-// of BenchmarkParallelRollingMTBF.
-func BenchmarkRollingMTBFSequential(b *testing.B) {
+// BenchmarkRollingMTBF scans fine-grained rolling windows (7-day step
+// over the full Tsubame-2 span).
+func BenchmarkRollingMTBF(b *testing.B) {
 	t2, _ := benchLogs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RollingMTBFParallel(t2, 90, 7, 1); err != nil {
+		if _, err := core.RollingMTBF(t2, 90, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(1, "pool_width")
-}
-
-// BenchmarkParallelRollingMTBF fans the independent window scans out
-// across every core.
-func BenchmarkParallelRollingMTBF(b *testing.B) {
-	t2, _ := benchLogs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RollingMTBFParallel(t2, 90, 7, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "pool_width")
 }
 
 func maxOf(rows []core.CategoryDurations, cat failures.Category) float64 {
@@ -646,7 +632,7 @@ func BenchmarkExtRackConcentration(b *testing.B) {
 	var res *core.SpatialResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = core.SpatialAnalysis(t2); err != nil {
+		if res, err = core.SpatialAnalysis(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,10 +648,10 @@ func BenchmarkExtSurvival(b *testing.B) {
 	var s2, s3 *core.GPUSurvivalResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if s2, err = core.GPUSurvival(t2); err != nil {
+		if s2, err = core.GPUSurvival(index.New(t2)); err != nil {
 			b.Fatal(err)
 		}
-		if s3, err = core.GPUSurvival(t3); err != nil {
+		if s3, err = core.GPUSurvival(index.New(t3)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -792,7 +778,7 @@ func BenchmarkFullStudyObserved(b *testing.B) {
 	obs.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 0); err != nil {
+		if _, err := core.Run(t2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -860,7 +846,7 @@ func BenchmarkFullStudyInstrumentedDisabled(b *testing.B) {
 	defer obs.Enable(was)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tsubame.AnalyzeParallel(t2, 1); err != nil {
+		if _, err := core.Run(t2, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 	"log"
 	"os"
 
-	tsubame "repro"
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/textreport"
 )
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		cli.FatalLoad(err)
 	}
-	study, err := tsubame.AnalyzeParallel(failureLog, *para)
+	study, err := core.Run(failureLog, core.Options{Parallelism: *para})
 	if err != nil {
 		log.Fatal(err)
 	}

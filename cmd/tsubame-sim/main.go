@@ -180,7 +180,7 @@ func runTrials(ctx context.Context, obsRun *cli.Run, sys tsubame.System, cfg tsu
 	for i := range seeds {
 		seeds[i] = firstSeed + int64(i)
 	}
-	results, err := tsubame.RunSimulationTrialsContext(ctx, cfg, seeds, parallelism, partsFor)
+	results, err := tsubame.RunSimulationTrials(ctx, cfg, seeds, parallelism, partsFor)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			log.Fatal("interrupted before all trials completed")

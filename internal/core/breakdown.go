@@ -18,11 +18,7 @@ type CategoryShare struct {
 // CategoryBreakdown computes the per-category failure shares (RQ1,
 // Figure 2), sorted by descending count with ties broken by category name
 // for determinism.
-func CategoryBreakdown(log *failures.Log) ([]CategoryShare, error) {
-	return categoryBreakdown(index.New(log))
-}
-
-func categoryBreakdown(ix *index.View) ([]CategoryShare, error) {
+func CategoryBreakdown(ix *index.View) ([]CategoryShare, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
 	}
@@ -65,11 +61,7 @@ type CauseShare struct {
 // k <= 0 returns all loci. The percentages are relative to the software
 // failures carrying a cause, matching the paper's "171 reported root
 // loci" denominator.
-func SoftwareCauses(log *failures.Log, k int) ([]CauseShare, error) {
-	return softwareCauses(index.New(log), k)
-}
-
-func softwareCauses(ix *index.View, k int) ([]CauseShare, error) {
+func SoftwareCauses(ix *index.View, k int) ([]CauseShare, error) {
 	counts := make(map[failures.SoftwareCause]int)
 	total := 0
 	for _, r := range ix.Records() {

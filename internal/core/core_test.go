@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/failures"
+	"repro/internal/index"
 	"repro/internal/synth"
 )
 
@@ -47,7 +48,7 @@ func emptyLog(t *testing.T) *failures.Log {
 
 func TestCategoryBreakdown(t *testing.T) {
 	log := tinyLog(t)
-	shares, err := CategoryBreakdown(log)
+	shares, err := CategoryBreakdown(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCategoryBreakdown(t *testing.T) {
 	if got := ShareOf(shares, failures.CatCPU); got != 0 {
 		t.Errorf("ShareOf(absent) = %v, want 0", got)
 	}
-	if _, err := CategoryBreakdown(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := CategoryBreakdown(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty log error = %v", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestCategoryBreakdownDeterministicTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares, err := CategoryBreakdown(log)
+	shares, err := CategoryBreakdown(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSoftwareCauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	causes, err := SoftwareCauses(log, 0)
+	causes, err := SoftwareCauses(index.New(log), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +115,18 @@ func TestSoftwareCauses(t *testing.T) {
 	if math.Abs(causes[0].Percent-66.666) > 0.01 {
 		t.Errorf("GPU-driver percent = %v, want ~66.7 (of software failures)", causes[0].Percent)
 	}
-	top1, err := SoftwareCauses(log, 1)
+	top1, err := SoftwareCauses(index.New(log), 1)
 	if err != nil || len(top1) != 1 {
 		t.Errorf("top-1 = %+v, %v", top1, err)
 	}
-	if _, err := SoftwareCauses(tinyLog(t), 5); err != ErrEmptyLog {
+	if _, err := SoftwareCauses(index.New(tinyLog(t)), 5); err != ErrEmptyLog {
 		t.Errorf("no-cause log error = %v", err)
 	}
 }
 
 func TestNodeFailureCounts(t *testing.T) {
 	log := tinyLog(t)
-	bins, err := NodeFailureCounts(log)
+	bins, err := NodeFailureCounts(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,14 @@ func TestNodeFailureCounts(t *testing.T) {
 	if got := PercentWithExactly(bins, 7); got != 0 {
 		t.Errorf("absent bin = %v, want 0", got)
 	}
-	if _, err := NodeFailureCounts(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := NodeFailureCounts(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestMultiFailureNodeSplit(t *testing.T) {
 	log := tinyLog(t)
-	split, err := MultiFailureNodeSplit(log)
+	split, err := MultiFailureNodeSplit(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestMultiFailureNodeSplit(t *testing.T) {
 
 func TestGPUSlotDistribution(t *testing.T) {
 	log := tinyLog(t)
-	slots, err := GPUSlotDistribution(log)
+	slots, err := GPUSlotDistribution(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +180,14 @@ func TestGPUSlotDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GPUSlotDistribution(noGPU); err != ErrEmptyLog {
+	if _, err := GPUSlotDistribution(index.New(noGPU)); err != ErrEmptyLog {
 		t.Errorf("no-GPU error = %v", err)
 	}
 }
 
 func TestMultiGPUInvolvement(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := MultiGPUInvolvement(log)
+	rows, err := MultiGPUInvolvement(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +200,14 @@ func TestMultiGPUInvolvement(t *testing.T) {
 	if math.Abs(MultiGPUPercent(rows)-33.333) > 0.01 {
 		t.Errorf("multi-GPU percent = %v, want ~33.3", MultiGPUPercent(rows))
 	}
-	if _, err := MultiGPUInvolvement(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := MultiGPUInvolvement(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestTBFAnalysis(t *testing.T) {
 	log := tinyLog(t)
-	res, err := TBFAnalysis(log)
+	res, err := TBFAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +221,14 @@ func TestTBFAnalysis(t *testing.T) {
 	single, _ := failures.NewLog(failures.Tsubame2, []failures.Failure{
 		{ID: 1, System: failures.Tsubame2, Time: ts(0), Category: failures.CatGPU, Node: "n1", GPUs: []int{0}},
 	})
-	if _, err := TBFAnalysis(single); err != ErrTooFewRecords {
+	if _, err := TBFAnalysis(index.New(single)); err != ErrTooFewRecords {
 		t.Errorf("single-record error = %v", err)
 	}
 }
 
 func TestTBFByCategory(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := TBFByCategory(log, 2)
+	rows, err := TBFByCategory(index.New(log), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,21 +239,21 @@ func TestTBFByCategory(t *testing.T) {
 	if math.Abs(rows[0].Summary.Mean-15) > 1e-9 {
 		t.Errorf("GPU TBF mean = %v, want 15", rows[0].Summary.Mean)
 	}
-	if _, err := TBFByCategory(log, 10); err != ErrTooFewRecords {
+	if _, err := TBFByCategory(index.New(log), 10); err != ErrTooFewRecords {
 		t.Errorf("high threshold error = %v", err)
 	}
-	if _, err := TBFByCategory(emptyLog(t), 2); err != ErrEmptyLog {
+	if _, err := TBFByCategory(index.New(emptyLog(t)), 2); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestCategoryMTBF(t *testing.T) {
 	log := tinyLog(t)
-	mtbf, ok := CategoryMTBF(log, failures.CatGPU)
+	mtbf, ok := CategoryMTBF(index.New(log), failures.CatGPU)
 	if !ok || math.Abs(mtbf-15) > 1e-9 {
 		t.Errorf("GPU MTBF = %v ok=%v, want 15", mtbf, ok)
 	}
-	if _, ok := CategoryMTBF(log, failures.CatCPU); ok {
+	if _, ok := CategoryMTBF(index.New(log), failures.CatCPU); ok {
 		t.Error("absent category should report !ok")
 	}
 }
@@ -261,7 +262,7 @@ func TestGPUCardIncidentMTBF(t *testing.T) {
 	log := tinyLog(t)
 	// GPU failures at t=0,10,30 with 1+2+1 = 4 card incidents over a
 	// 30-hour window: 30/(4-1) = 10.
-	mtbf, ok := GPUCardIncidentMTBF(log)
+	mtbf, ok := GPUCardIncidentMTBF(index.New(log))
 	if !ok || math.Abs(mtbf-10) > 1e-9 {
 		t.Errorf("card-incident MTBF = %v ok=%v, want 10", mtbf, ok)
 	}
@@ -278,7 +279,7 @@ func TestMultiGPUTemporal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiGPUTemporal(log, 72)
+	res, err := MultiGPUTemporal(index.New(log), 72)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +294,14 @@ func TestMultiGPUTemporal(t *testing.T) {
 	if math.Abs(res.WithinWindowPercent-66.666) > 0.01 {
 		t.Errorf("within-window = %v%%, want ~66.7%%", res.WithinWindowPercent)
 	}
-	if _, err := MultiGPUTemporal(tinyLog(t), 72); err != ErrTooFewRecords {
+	if _, err := MultiGPUTemporal(index.New(tinyLog(t)), 72); err != ErrTooFewRecords {
 		t.Errorf("one-multi-event log error = %v", err)
 	}
 }
 
 func TestTTRAnalysis(t *testing.T) {
 	log := tinyLog(t)
-	res, err := TTRAnalysis(log)
+	res, err := TTRAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +309,14 @@ func TestTTRAnalysis(t *testing.T) {
 	if math.Abs(res.MTTRHours-14.4) > 1e-9 || res.MaxHours != 30 {
 		t.Errorf("TTR = %+v", res)
 	}
-	if _, err := TTRAnalysis(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := TTRAnalysis(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
 	}
 }
 
 func TestTTRByCategory(t *testing.T) {
 	log := tinyLog(t)
-	rows, err := TTRByCategory(log, 1)
+	rows, err := TTRByCategory(index.New(log), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestTTRByCategory(t *testing.T) {
 
 func TestTTRSpread(t *testing.T) {
 	log := tinyLog(t)
-	spread, err := TTRSpread(log)
+	spread, err := TTRSpread(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +341,14 @@ func TestTTRSpread(t *testing.T) {
 	hwOnly, _ := failures.NewLog(failures.Tsubame2, []failures.Failure{
 		{ID: 1, System: failures.Tsubame2, Time: ts(0), Category: failures.CatGPU, Node: "n1", GPUs: []int{0}},
 	})
-	if _, err := TTRSpread(hwOnly); err != ErrEmptyLog {
+	if _, err := TTRSpread(index.New(hwOnly)); err != ErrEmptyLog {
 		t.Errorf("one-sided log error = %v", err)
 	}
 }
 
 func TestMonthlySeasonality(t *testing.T) {
 	log := tinyLog(t)
-	buckets, err := MonthlySeasonality(log)
+	buckets, err := MonthlySeasonality(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,30 +363,8 @@ func TestMonthlySeasonality(t *testing.T) {
 			t.Errorf("month %v has %d failures, want 0", buckets[i].Month, buckets[i].Failures)
 		}
 	}
-	if _, err := MonthlySeasonality(emptyLog(t)); err != ErrEmptyLog {
+	if _, err := MonthlySeasonality(index.New(emptyLog(t))); err != ErrEmptyLog {
 		t.Errorf("empty error = %v", err)
-	}
-}
-
-func TestMonthlySeries(t *testing.T) {
-	records := []failures.Failure{
-		{ID: 1, System: failures.Tsubame2, Time: time.Date(2012, 1, 15, 0, 0, 0, 0, time.UTC), Category: failures.CatGPU, Node: "n1", GPUs: []int{0}},
-		{ID: 2, System: failures.Tsubame2, Time: time.Date(2012, 3, 2, 0, 0, 0, 0, time.UTC), Category: failures.CatGPU, Node: "n2", GPUs: []int{1}},
-	}
-	log, err := failures.NewLog(failures.Tsubame2, records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := MonthlySeries(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jan, Feb, Mar 2012 — including the empty February.
-	if len(series) != 3 {
-		t.Fatalf("series = %+v, want 3 months", series)
-	}
-	if series[1].Failures != 0 || series[1].Month != time.February {
-		t.Errorf("February = %+v, want zero count", series[1])
 	}
 }
 
@@ -394,7 +373,7 @@ func TestSeasonalAnalysisOnSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := SeasonalAnalysis(log)
+	sc, err := SeasonalAnalysis(index.New(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +393,7 @@ func TestNewStudyAndCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(t2, t3)
+	cmp, err := Compare(t2, t3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

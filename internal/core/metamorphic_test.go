@@ -32,11 +32,11 @@ func TestStudyInvariantUnderPermutation(t *testing.T) {
 func TestCompareInvariantUnderPermutation(t *testing.T) {
 	t2 := testutil.MustGenerate(t, failures.Tsubame2, 7)
 	t3 := testutil.MustGenerate(t, failures.Tsubame3, 7)
-	base, err := Compare(t2, t3)
+	base, err := Compare(t2, t3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	permuted, err := Compare(testutil.Permuted(t, t2, 11), testutil.Permuted(t, t3, 13))
+	permuted, err := Compare(testutil.Permuted(t, t2, 11), testutil.Permuted(t, t3, 13), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,7 @@ type InvolvementRow struct {
 // the log (RQ3): one row per possible involvement size, 1..GPUsPerNode,
 // including zero rows (Tsubame-3 famously has a zero row for all four
 // GPUs).
-func MultiGPUInvolvement(log *failures.Log) ([]InvolvementRow, error) {
-	return multiGPUInvolvement(index.New(log))
-}
-
-func multiGPUInvolvement(ix *index.View) ([]InvolvementRow, error) {
+func MultiGPUInvolvement(ix *index.View) ([]InvolvementRow, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots+1)
 	total := 0

@@ -17,11 +17,7 @@ type NodeCountBin struct {
 
 // NodeFailureCounts computes the failures-per-node distribution over the
 // nodes that appear in the log (RQ2, Figure 4), sorted by failure count.
-func NodeFailureCounts(log *failures.Log) ([]NodeCountBin, error) {
-	return nodeFailureCounts(index.New(log))
-}
-
-func nodeFailureCounts(ix *index.View) ([]NodeCountBin, error) {
+func NodeFailureCounts(ix *index.View) ([]NodeCountBin, error) {
 	perNode := ix.NodeCounts()
 	if len(perNode) == 0 {
 		return nil, ErrEmptyLog
@@ -73,11 +69,7 @@ type MultiNodeSplit struct {
 
 // MultiFailureNodeSplit computes the hardware/software split of failures
 // on multi-failure nodes (RQ2).
-func MultiFailureNodeSplit(log *failures.Log) (MultiNodeSplit, error) {
-	return multiFailureNodeSplit(index.New(log))
-}
-
-func multiFailureNodeSplit(ix *index.View) (MultiNodeSplit, error) {
+func MultiFailureNodeSplit(ix *index.View) (MultiNodeSplit, error) {
 	perNode := ix.NodeCounts()
 	if len(perNode) == 0 {
 		return MultiNodeSplit{}, ErrEmptyLog
@@ -108,11 +100,7 @@ type SlotShare struct {
 // GPUSlotDistribution computes the per-slot failure distribution within a
 // node (RQ2, Figure 5). Every GPU-related record contributes one incident
 // per involved slot.
-func GPUSlotDistribution(log *failures.Log) ([]SlotShare, error) {
-	return gpuSlotDistribution(index.New(log))
-}
-
-func gpuSlotDistribution(ix *index.View) ([]SlotShare, error) {
+func GPUSlotDistribution(ix *index.View) ([]SlotShare, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots)
 	total := 0

@@ -60,56 +60,56 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 	phases := []analysis{
 		{"breakdown", func(context.Context) error {
 			var err error
-			if s.Breakdown, err = categoryBreakdown(ix); err != nil {
+			if s.Breakdown, err = CategoryBreakdown(ix); err != nil {
 				return fmt.Errorf("core: category breakdown: %w", err)
 			}
 			return nil
 		}},
 		{"software-causes", func(context.Context) error {
 			// Root loci are only recorded on systems that report them.
-			if top, err := softwareCauses(ix, 16); err == nil {
+			if top, err := SoftwareCauses(ix, 16); err == nil {
 				s.SoftwareTop = top
 			}
 			return nil
 		}},
 		{"node-counts", func(context.Context) error {
 			var err error
-			if s.NodeCounts, err = nodeFailureCounts(ix); err != nil {
+			if s.NodeCounts, err = NodeFailureCounts(ix); err != nil {
 				return fmt.Errorf("core: node failure counts: %w", err)
 			}
 			return nil
 		}},
 		{"multi-node-split", func(context.Context) error {
 			var err error
-			if s.MultiNodeSplit, err = multiFailureNodeSplit(ix); err != nil {
+			if s.MultiNodeSplit, err = MultiFailureNodeSplit(ix); err != nil {
 				return fmt.Errorf("core: multi-failure node split: %w", err)
 			}
 			return nil
 		}},
 		{"slot-shares", func(context.Context) error {
 			var err error
-			if s.SlotShares, err = gpuSlotDistribution(ix); err != nil {
+			if s.SlotShares, err = GPUSlotDistribution(ix); err != nil {
 				return fmt.Errorf("core: GPU slot distribution: %w", err)
 			}
 			return nil
 		}},
 		{"involvement", func(context.Context) error {
 			var err error
-			if s.Involvement, err = multiGPUInvolvement(ix); err != nil {
+			if s.Involvement, err = MultiGPUInvolvement(ix); err != nil {
 				return fmt.Errorf("core: multi-GPU involvement: %w", err)
 			}
 			return nil
 		}},
 		{"tbf", func(context.Context) error {
 			var err error
-			if s.TBF, err = tbfAnalysis(ix); err != nil {
+			if s.TBF, err = TBFAnalysis(ix); err != nil {
 				return fmt.Errorf("core: TBF analysis: %w", err)
 			}
 			return nil
 		}},
 		{"tbf-per-type", func(context.Context) error {
 			var err error
-			if s.TBFPerType, err = tbfByCategory(ix, minPerTypeTBF, width); err != nil {
+			if s.TBFPerType, err = TBFByCategory(ix, minPerTypeTBF); err != nil {
 				return fmt.Errorf("core: per-type TBF: %w", err)
 			}
 			return nil
@@ -117,35 +117,35 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 		{"multi-gpu-temporal", func(context.Context) error {
 			// A log can legitimately lack multi-GPU pairs; leave the
 			// field nil then.
-			if mg, err := multiGPUTemporal(ix, multiGPUWindowHours); err == nil {
+			if mg, err := MultiGPUTemporal(ix, multiGPUWindowHours); err == nil {
 				s.MultiGPU = mg
 			}
 			return nil
 		}},
 		{"ttr", func(context.Context) error {
 			var err error
-			if s.TTR, err = ttrAnalysis(ix); err != nil {
+			if s.TTR, err = TTRAnalysis(ix); err != nil {
 				return fmt.Errorf("core: TTR analysis: %w", err)
 			}
 			return nil
 		}},
 		{"ttr-per-type", func(context.Context) error {
 			var err error
-			if s.TTRPerType, err = ttrByCategory(ix, minPerTypeTTR, width); err != nil {
+			if s.TTRPerType, err = TTRByCategory(ix, minPerTypeTTR); err != nil {
 				return fmt.Errorf("core: per-type TTR: %w", err)
 			}
 			return nil
 		}},
 		{"seasonal", func(context.Context) error {
 			var err error
-			if s.Seasonal, err = monthlySeasonality(ix); err != nil {
+			if s.Seasonal, err = MonthlySeasonality(ix); err != nil {
 				return fmt.Errorf("core: monthly seasonality: %w", err)
 			}
 			return nil
 		}},
 		{"seasonal-tests", func(context.Context) error {
 			var err error
-			if s.SeasonalTests, err = seasonalAnalysis(ix); err != nil {
+			if s.SeasonalTests, err = SeasonalAnalysis(ix); err != nil {
 				return fmt.Errorf("core: seasonal analysis: %w", err)
 			}
 			return nil
@@ -154,13 +154,13 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 		// node identifiers outside the canonical topology or lack GPU
 		// attribution.
 		{"spatial", func(context.Context) error {
-			if spatial, err := spatialAnalysis(ix, width); err == nil {
+			if spatial, err := SpatialAnalysis(ix); err == nil {
 				s.Spatial = spatial
 			}
 			return nil
 		}},
 		{"survival", func(context.Context) error {
-			if survival, err := gpuSurvival(ix); err == nil {
+			if survival, err := GPUSurvival(ix); err == nil {
 				s.Survival = survival
 			}
 			return nil
@@ -190,34 +190,4 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 		return nil, fmt.Errorf("core: performance-error-proportionality: %w", err)
 	}
 	return s, nil
-}
-
-// CompareParallel builds the cross-generation comparison, analyzing the
-// two logs concurrently and fanning each study's analyses out under the
-// same options. Each log gets one index shared between its study phases
-// and the comparison metrics. CompareParallel with Parallelism 1 is
-// Compare.
-func CompareParallel(oldLog, newLog *failures.Log, opts Options) (*Comparison, error) {
-	oldIx, newIx := index.New(oldLog), index.New(newLog)
-	var oldStudy, newStudy *Study
-	err := parallel.Do(context.Background(), opts.Parallelism,
-		func(context.Context) error {
-			var err error
-			if oldStudy, err = RunView(oldIx, opts); err != nil {
-				return fmt.Errorf("core: old-generation study: %w", err)
-			}
-			return nil
-		},
-		func(context.Context) error {
-			var err error
-			if newStudy, err = RunView(newIx, opts); err != nil {
-				return fmt.Errorf("core: new-generation study: %w", err)
-			}
-			return nil
-		},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return compareStudies(oldIx, newIx, oldStudy, newStudy)
 }

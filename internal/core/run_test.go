@@ -60,11 +60,11 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Compare(t2, t3)
+	seq, err := Compare(t2, t3, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareParallel(t2, t3, Options{Parallelism: 4})
+	par, err := Compare(t2, t3, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,64 +86,6 @@ func TestRunErrorMatchesSequential(t *testing.T) {
 		}
 		if seqErr != nil && seqErr.Error() != parErr.Error() {
 			t.Errorf("width %d: error diverged:\n  sequential: %v\n  parallel:   %v", width, seqErr, parErr)
-		}
-	}
-}
-
-// TestShardedVariantsMatchSequential pins every sharded inner loop to its
-// sequential counterpart on the full-scale synthetic log.
-func TestShardedVariantsMatchSequential(t *testing.T) {
-	t2, _, err := synth.GenerateBoth(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{0, 3, 8} {
-		seqRoll, err := RollingMTBF(t2, 90, 45)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parRoll, err := RollingMTBFParallel(t2, 90, 45, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqRoll, parRoll) {
-			t.Errorf("width %d: rolling MTBF series diverged", width)
-		}
-
-		seqSpatial, err := SpatialAnalysis(t2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parSpatial, err := SpatialAnalysisParallel(t2, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqSpatial, parSpatial) {
-			t.Errorf("width %d: spatial analysis diverged", width)
-		}
-
-		seqTBF, err := TBFByCategory(t2, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parTBF, err := TBFByCategoryParallel(t2, 5, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqTBF, parTBF) {
-			t.Errorf("width %d: per-type TBF diverged", width)
-		}
-
-		seqTTR, err := TTRByCategory(t2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parTTR, err := TTRByCategoryParallel(t2, 2, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seqTTR, parTTR) {
-			t.Errorf("width %d: per-type TTR diverged", width)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sort"
 	"time"
 
-	"repro/internal/failures"
 	"repro/internal/index"
 	"repro/internal/stats"
 )
@@ -23,11 +21,7 @@ type MonthBucket struct {
 // MonthlySeasonality computes the per-calendar-month failure counts and
 // recovery-time distributions (RQ5, Figures 11 and 12). All twelve months
 // are returned in calendar order, including empty ones.
-func MonthlySeasonality(log *failures.Log) ([]MonthBucket, error) {
-	return monthlySeasonality(index.New(log))
-}
-
-func monthlySeasonality(ix *index.View) ([]MonthBucket, error) {
+func MonthlySeasonality(ix *index.View) ([]MonthBucket, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
 	}
@@ -65,12 +59,8 @@ type SeasonalCorrelation struct {
 
 // SeasonalAnalysis runs the density-versus-recovery tests over the monthly
 // buckets.
-func SeasonalAnalysis(log *failures.Log) (SeasonalCorrelation, error) {
-	return seasonalAnalysis(index.New(log))
-}
-
-func seasonalAnalysis(ix *index.View) (SeasonalCorrelation, error) {
-	buckets, err := monthlySeasonality(ix)
+func SeasonalAnalysis(ix *index.View) (SeasonalCorrelation, error) {
+	buckets, err := MonthlySeasonality(ix)
 	if err != nil {
 		return SeasonalCorrelation{}, err
 	}
@@ -114,39 +104,4 @@ func seasonalAnalysis(ix *index.View) (SeasonalCorrelation, error) {
 		return SeasonalCorrelation{}, err
 	}
 	return SeasonalCorrelation{Spearman: rho, SecondHalfTTRRatio: ratio, ChiSquareP: chiP}, nil
-}
-
-// YearMonthCount is a (year, month) failure tally for chronological
-// monthly series.
-type YearMonthCount struct {
-	Year     int
-	Month    time.Month
-	Failures int
-}
-
-// MonthlySeries returns the chronological month-by-month failure counts
-// over the log window, including zero months.
-func MonthlySeries(log *failures.Log) ([]YearMonthCount, error) {
-	start, end, ok := log.Window()
-	if !ok {
-		return nil, ErrEmptyLog
-	}
-	counts := make(map[[2]int]int)
-	for _, r := range log.Records() {
-		counts[[2]int{r.Time.Year(), int(r.Time.Month())}]++
-	}
-	var out []YearMonthCount
-	cursor := time.Date(start.Year(), start.Month(), 1, 0, 0, 0, 0, time.UTC)
-	for !cursor.After(end) {
-		key := [2]int{cursor.Year(), int(cursor.Month())}
-		out = append(out, YearMonthCount{Year: cursor.Year(), Month: cursor.Month(), Failures: counts[key]})
-		cursor = cursor.AddDate(0, 1, 0)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Year != out[j].Year {
-			return out[i].Year < out[j].Year
-		}
-		return out[i].Month < out[j].Month
-	})
-	return out, nil
 }

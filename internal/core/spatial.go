@@ -1,13 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/failures"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/system"
 )
@@ -45,27 +42,7 @@ type SpatialResult struct {
 
 // SpatialAnalysis computes the rack- and node-level failure concentration
 // of a log against its machine's topology.
-func SpatialAnalysis(log *failures.Log) (*SpatialResult, error) {
-	return spatialAnalysis(index.New(log), 1)
-}
-
-// SpatialAnalysisParallel is SpatialAnalysis with the per-node
-// aggregation sharded across a bounded worker pool; results are
-// identical under any width.
-func SpatialAnalysisParallel(log *failures.Log, parallelism int) (*SpatialResult, error) {
-	return spatialAnalysis(index.New(log), parallelism)
-}
-
-// spatialShard is one shard's partial reduction over a contiguous range
-// of the sorted node list: per-rack counts and the shard's failure total.
-// Integer partials merge into the same grand totals in any order, which
-// is what keeps the sharded aggregation byte-identical to sequential.
-type spatialShard struct {
-	rackCounts []int
-	total      int
-}
-
-func spatialAnalysis(ix *index.View, parallelism int) (*SpatialResult, error) {
+func SpatialAnalysis(ix *index.View) (*SpatialResult, error) {
 	machine, err := system.ForSystem(ix.System())
 	if err != nil {
 		return nil, err
@@ -74,44 +51,24 @@ func spatialAnalysis(ix *index.View, parallelism int) (*SpatialResult, error) {
 	if len(perNode) == 0 {
 		return nil, ErrEmptyLog
 	}
-	// The index's node list is already sorted, so the shard bounds below
-	// are deterministic without re-deriving the order.
-	nodes := ix.Nodes()
-
-	// Shard the per-node aggregation: each worker owns a contiguous node
-	// range, validates it against the topology, accumulates private rack
-	// counts, and fills its disjoint slots of the fleet vector.
+	// Validate every node against the topology, accumulating per-rack
+	// counts and the fleet vector in the index's sorted node order.
 	fleetVals := make([]float64, machine.Nodes)
-	width := parallel.Width(parallelism, len(nodes))
-	partials, err := parallel.Map(context.Background(), width, parallel.Shards(len(nodes), width),
-		func(_ context.Context, _ int, sh parallel.Range) (spatialShard, error) {
-			pt := spatialShard{rackCounts: make([]int, machine.Racks())}
-			for _, node := range nodes[sh.Lo:sh.Hi] {
-				count := perNode[node]
-				rack, ok := machine.RackOf(node)
-				if !ok {
-					return spatialShard{}, fmt.Errorf("core: node %q outside the %v topology", node, ix.System())
-				}
-				pt.rackCounts[rack] += count
-				pt.total += count
-				idx, ok := system.ParseNodeIndex(node)
-				if !ok || idx >= machine.Nodes {
-					return spatialShard{}, fmt.Errorf("core: node %q outside the %v fleet", node, ix.System())
-				}
-				fleetVals[idx] = float64(count)
-			}
-			return pt, nil
-		})
-	if err != nil {
-		return nil, err
-	}
 	rackCounts := make([]int, machine.Racks())
 	total := 0
-	for _, pt := range partials {
-		for rack, c := range pt.rackCounts {
-			rackCounts[rack] += c
+	for _, node := range ix.Nodes() {
+		count := perNode[node]
+		rack, ok := machine.RackOf(node)
+		if !ok {
+			return nil, fmt.Errorf("core: node %q outside the %v topology", node, ix.System())
 		}
-		total += pt.total
+		rackCounts[rack] += count
+		total += count
+		idx, ok := system.ParseNodeIndex(node)
+		if !ok || idx >= machine.Nodes {
+			return nil, fmt.Errorf("core: node %q outside the %v fleet", node, ix.System())
+		}
+		fleetVals[idx] = float64(count)
 	}
 
 	res := &SpatialResult{}

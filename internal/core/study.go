@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/failures"
 	"repro/internal/index"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/system"
 )
@@ -83,24 +85,39 @@ type Comparison struct {
 	TTRShapeKS float64
 }
 
-// Compare builds the cross-generation comparison from two logs.
-func Compare(oldLog, newLog *failures.Log) (*Comparison, error) {
+// Compare builds the cross-generation comparison from two logs, analyzing
+// them concurrently and fanning each study's analyses out under the same
+// options. Each log gets one index shared between its study phases and
+// the comparison metrics. The Comparison is identical under any
+// Parallelism.
+func Compare(oldLog, newLog *failures.Log, opts Options) (*Comparison, error) {
 	oldIx, newIx := index.New(oldLog), index.New(newLog)
-	oldStudy, err := RunView(oldIx, Options{Parallelism: 1})
+	var oldStudy, newStudy *Study
+	err := parallel.Do(context.Background(), opts.Parallelism,
+		func(context.Context) error {
+			var err error
+			if oldStudy, err = RunView(oldIx, opts); err != nil {
+				return fmt.Errorf("core: old-generation study: %w", err)
+			}
+			return nil
+		},
+		func(context.Context) error {
+			var err error
+			if newStudy, err = RunView(newIx, opts); err != nil {
+				return fmt.Errorf("core: new-generation study: %w", err)
+			}
+			return nil
+		},
+	)
 	if err != nil {
-		return nil, fmt.Errorf("core: old-generation study: %w", err)
-	}
-	newStudy, err := RunView(newIx, Options{Parallelism: 1})
-	if err != nil {
-		return nil, fmt.Errorf("core: new-generation study: %w", err)
+		return nil, err
 	}
 	return compareStudies(oldIx, newIx, oldStudy, newStudy)
 }
 
 // compareStudies assembles the Comparison from two already-built studies,
 // reusing each study's index so the comparison metrics read the facets
-// the battery already derived; shared by the sequential and parallel
-// entry points.
+// the battery already derived.
 func compareStudies(oldIx, newIx *index.View, oldStudy, newStudy *Study) (*Comparison, error) {
 	c := &Comparison{
 		Old:             oldStudy,
@@ -109,13 +126,13 @@ func compareStudies(oldIx, newIx *index.View, oldStudy, newStudy *Study) (*Compa
 		MTTRRatio:       newStudy.TTR.MTTRHours / oldStudy.TTR.MTTRHours,
 		PEPRatio:        oldStudy.PEP.Ratio(newStudy.PEP),
 	}
-	if oldGPU, ok := gpuCardIncidentMTBF(oldIx); ok {
-		if newGPU, ok := gpuCardIncidentMTBF(newIx); ok {
+	if oldGPU, ok := GPUCardIncidentMTBF(oldIx); ok {
+		if newGPU, ok := GPUCardIncidentMTBF(newIx); ok {
 			c.GPUMTBFImprovement = newGPU / oldGPU
 		}
 	}
-	if oldCPU, ok := categoryMTBF(oldIx, failures.CatCPU); ok {
-		if newCPU, ok := categoryMTBF(newIx, failures.CatCPU); ok {
+	if oldCPU, ok := CategoryMTBF(oldIx, failures.CatCPU); ok {
+		if newCPU, ok := CategoryMTBF(newIx, failures.CatCPU); ok {
 			c.CPUMTBFImprovement = newCPU / oldCPU
 		}
 	}

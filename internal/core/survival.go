@@ -37,11 +37,7 @@ type GPUSurvivalResult struct {
 }
 
 // GPUSurvival computes the per-card survival analysis of a log.
-func GPUSurvival(log *failures.Log) (*GPUSurvivalResult, error) {
-	return gpuSurvival(index.New(log))
-}
-
-func gpuSurvival(ix *index.View) (*GPUSurvivalResult, error) {
+func GPUSurvival(ix *index.View) (*GPUSurvivalResult, error) {
 	machine, err := system.ForSystem(ix.System())
 	if err != nil {
 		return nil, err

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/failures"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -29,16 +27,11 @@ type TBFResult struct {
 }
 
 // TBFAnalysis computes the time-between-failures distribution of the whole
-// log.
-func TBFAnalysis(log *failures.Log) (*TBFResult, error) {
-	return tbfAnalysis(index.New(log))
-}
-
-// tbfAnalysis reads the gap series and its sorted arena off the index:
-// the mean accumulates in chronological order (bit-identical to the
+// log. It reads the gap series and its sorted arena off the index: the
+// mean accumulates in chronological order (bit-identical to the
 // historical path), while the ECDF and all three quantiles share the
 // arena's single sort.
-func tbfAnalysis(ix *index.View) (*TBFResult, error) {
+func TBFAnalysis(ix *index.View) (*TBFResult, error) {
 	gaps := ix.InterarrivalHours()
 	if len(gaps) == 0 {
 		return nil, ErrTooFewRecords
@@ -70,49 +63,26 @@ type CategoryDurations struct {
 // the same category, for every category with at least minCount failures
 // (the paper's Figure 7 omits sparsely populated categories). Rows are
 // sorted by ascending mean, matching the figure's ordering.
-func TBFByCategory(log *failures.Log, minCount int) ([]CategoryDurations, error) {
-	return tbfByCategory(index.New(log), minCount, 1)
-}
-
-// TBFByCategoryParallel is TBFByCategory with the per-category summaries
-// fanned out across a bounded worker pool; results are identical under
-// any width.
-func TBFByCategoryParallel(log *failures.Log, minCount, parallelism int) ([]CategoryDurations, error) {
-	return tbfByCategory(index.New(log), minCount, parallelism)
-}
-
-func tbfByCategory(ix *index.View, minCount, parallelism int) ([]CategoryDurations, error) {
+func TBFByCategory(ix *index.View, minCount int) ([]CategoryDurations, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
 	}
 	if minCount < 2 {
 		minCount = 2
 	}
-	cats := categoriesWithAtLeast(ix.CategoryCounts(), minCount)
-	rows, err := parallel.Map(context.Background(), parallelism, cats, func(_ context.Context, _ int, cat failures.Category) (*CategoryDurations, error) {
-		gaps := ix.SortedCategoryGaps(cat)
-		if len(gaps) == 0 {
-			return nil, nil
-		}
-		sum, err := stats.SummarizeSorted(gaps)
-		if err != nil {
-			return nil, nil // degenerate category: skipped, as sequentially
-		}
-		return &CategoryDurations{Category: cat, Summary: sum}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := collectDurations(rows)
-	if len(out) == 0 {
+	rows := summarizeByCategory(ix, minCount, ix.SortedCategoryGaps)
+	if len(rows) == 0 {
 		return nil, ErrTooFewRecords
 	}
-	return out, nil
+	return rows, nil
 }
 
-// categoriesWithAtLeast returns the categories with minCount+ records in
-// a deterministic order, the fan-out work list of the per-type analyses.
-func categoriesWithAtLeast(counts map[failures.Category]int, minCount int) []failures.Category {
+// summarizeByCategory summarizes one sorted arena per category with at
+// least minCount records, skipping degenerate (empty) arenas, and
+// applies the boxplot figures' ascending-mean ordering. Categories are
+// visited in name order so the result is deterministic.
+func summarizeByCategory(ix *index.View, minCount int, arena func(failures.Category) []float64) []CategoryDurations {
+	counts := ix.CategoryCounts()
 	cats := make([]failures.Category, 0, len(counts))
 	for cat, n := range counts {
 		if n >= minCount {
@@ -120,40 +90,27 @@ func categoriesWithAtLeast(counts map[failures.Category]int, minCount int) []fai
 		}
 	}
 	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	return cats
-}
-
-// collectDurations drops skipped categories and applies the boxplot
-// figures' ascending-mean ordering.
-func collectDurations(rows []*CategoryDurations) []CategoryDurations {
-	out := make([]CategoryDurations, 0, len(rows))
-	for _, r := range rows {
-		if r != nil {
-			out = append(out, *r)
+	var rows []CategoryDurations
+	for _, cat := range cats {
+		if sum, err := stats.SummarizeSorted(arena(cat)); err == nil {
+			rows = append(rows, CategoryDurations{Category: cat, Summary: sum})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Summary.Mean != out[j].Summary.Mean {
-			return out[i].Summary.Mean < out[j].Summary.Mean
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Summary.Mean != rows[j].Summary.Mean {
+			return rows[i].Summary.Mean < rows[j].Summary.Mean
 		}
-		return out[i].Category < out[j].Category
+		return rows[i].Category < rows[j].Category
 	})
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return rows
 }
 
 // CategoryMTBF returns the mean time between failures of one category in
-// hours, measured over the category's sub-log.
-func CategoryMTBF(log *failures.Log, cat failures.Category) (float64, bool) {
-	return categoryMTBF(index.New(log), cat)
-}
-
-// categoryMTBF averages the category's gap series with a plain running
-// sum, replicating failures.Log.MTBFHours bit for bit (deliberately not
-// stats.Mean, whose Kahan compensation can differ in the last ulp).
-func categoryMTBF(ix *index.View, cat failures.Category) (float64, bool) {
+// hours, measured over the category's sub-log. It averages the category's
+// gap series with a plain running sum, replicating failures.Log.MTBFHours
+// bit for bit (deliberately not stats.Mean, whose Kahan compensation can
+// differ in the last ulp).
+func CategoryMTBF(ix *index.View, cat failures.Category) (float64, bool) {
 	gaps := ix.CategoryGaps(cat)
 	if len(gaps) == 0 {
 		return 0, false
@@ -169,11 +126,7 @@ func categoryMTBF(ix *index.View, cat failures.Category) (float64, bool) {
 // each failure contributes one incident per involved card, the counting
 // basis that best reconciles the paper's per-type GPU MTBF numbers with
 // its Table III involvement counts.
-func GPUCardIncidentMTBF(log *failures.Log) (float64, bool) {
-	return gpuCardIncidentMTBF(index.New(log))
-}
-
-func gpuCardIncidentMTBF(ix *index.View) (float64, bool) {
+func GPUCardIncidentMTBF(ix *index.View) (float64, bool) {
 	records := ix.GPURecords()
 	var incidents int
 	for _, r := range records {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"time"
 
-	"repro/internal/failures"
 	"repro/internal/index"
 	"repro/internal/stats"
 )
@@ -35,11 +33,7 @@ type MultiGPUTemporalResult struct {
 
 // MultiGPUTemporal analyzes the clustering of multi-GPU failures using the
 // given proximity window (hours).
-func MultiGPUTemporal(log *failures.Log, windowHours float64) (*MultiGPUTemporalResult, error) {
-	return multiGPUTemporal(index.New(log), windowHours)
-}
-
-func multiGPUTemporal(ix *index.View, windowHours float64) (*MultiGPUTemporalResult, error) {
+func MultiGPUTemporal(ix *index.View, windowHours float64) (*MultiGPUTemporalResult, error) {
 	var times []time.Time
 	for _, r := range ix.Records() {
 		if r.MultiGPU() {
@@ -84,31 +78,4 @@ func multiGPUTemporal(ix *index.View, windowHours float64) (*MultiGPUTemporalRes
 		WindowHours:         windowHours,
 		Gaps:                gaps,
 	}, nil
-}
-
-// DailyAutocorrelation returns the lag-k autocorrelation of the daily
-// failure-count series — a whole-log view of temporal clustering that
-// complements the multi-GPU-specific Figure 8 analysis. Positive lag-1
-// values mean failure-heavy days cluster.
-func DailyAutocorrelation(log *failures.Log, lagDays int) (float64, error) {
-	start, end, ok := log.Window()
-	if !ok {
-		return 0, ErrEmptyLog
-	}
-	days := int(end.Sub(start).Hours()/24) + 1
-	if days < lagDays+2 {
-		return 0, ErrTooFewRecords
-	}
-	counts := make([]float64, days)
-	for _, r := range log.Records() {
-		day := int(r.Time.Sub(start).Hours() / 24)
-		if day >= 0 && day < days {
-			counts[day]++
-		}
-	}
-	ac := stats.AutoCorrelation(counts, lagDays)
-	if math.IsNaN(ac) {
-		return 0, ErrTooFewRecords
-	}
-	return ac, nil
 }

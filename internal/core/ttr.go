@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/failures"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -20,14 +18,10 @@ type TTRResult struct {
 	CDF              *stats.ECDF
 }
 
-// TTRAnalysis computes the time-to-recovery distribution of the whole log.
-func TTRAnalysis(log *failures.Log) (*TTRResult, error) {
-	return ttrAnalysis(index.New(log))
-}
-
-// ttrAnalysis mirrors tbfAnalysis: chronological series for the mean,
-// shared sorted arena for the ECDF, quantiles, and maximum.
-func ttrAnalysis(ix *index.View) (*TTRResult, error) {
+// TTRAnalysis computes the time-to-recovery distribution of the whole
+// log. It mirrors TBFAnalysis: chronological series for the mean, shared
+// sorted arena for the ECDF, quantiles, and maximum.
+func TTRAnalysis(ix *index.View) (*TTRResult, error) {
 	hours := ix.RecoveryHours()
 	if len(hours) == 0 {
 		return nil, ErrEmptyLog
@@ -52,40 +46,18 @@ func ttrAnalysis(ix *index.View) (*TTRResult, error) {
 // TTRByCategory computes the recovery-time distribution per category for
 // categories with at least minCount records, sorted by ascending mean
 // recovery time (Figure 10's ordering).
-func TTRByCategory(log *failures.Log, minCount int) ([]CategoryDurations, error) {
-	return ttrByCategory(index.New(log), minCount, 1)
-}
-
-// TTRByCategoryParallel is TTRByCategory with the per-category summaries
-// fanned out across a bounded worker pool; results are identical under
-// any width.
-func TTRByCategoryParallel(log *failures.Log, minCount, parallelism int) ([]CategoryDurations, error) {
-	return ttrByCategory(index.New(log), minCount, parallelism)
-}
-
-func ttrByCategory(ix *index.View, minCount, parallelism int) ([]CategoryDurations, error) {
+func TTRByCategory(ix *index.View, minCount int) ([]CategoryDurations, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
 	}
 	if minCount < 1 {
 		minCount = 1
 	}
-	cats := categoriesWithAtLeast(ix.CategoryCounts(), minCount)
-	rows, err := parallel.Map(context.Background(), parallelism, cats, func(_ context.Context, _ int, cat failures.Category) (*CategoryDurations, error) {
-		sum, err := stats.SummarizeSorted(ix.SortedCategoryRecovery(cat))
-		if err != nil {
-			return nil, nil // degenerate category: skipped, as sequentially
-		}
-		return &CategoryDurations{Category: cat, Summary: sum}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := collectDurations(rows)
-	if len(out) == 0 {
+	rows := summarizeByCategory(ix, minCount, ix.SortedCategoryRecovery)
+	if len(rows) == 0 {
 		return nil, ErrEmptyLog
 	}
-	return out, nil
+	return rows, nil
 }
 
 // SpreadComparison contrasts the recovery-time spread (IQR) of hardware
@@ -99,11 +71,7 @@ type SpreadComparison struct {
 }
 
 // TTRSpread computes the hardware-versus-software recovery spread.
-func TTRSpread(log *failures.Log) (SpreadComparison, error) {
-	return ttrSpread(index.New(log))
-}
-
-func ttrSpread(ix *index.View) (SpreadComparison, error) {
+func TTRSpread(ix *index.View) (SpreadComparison, error) {
 	hw := ix.SortedHardwareRecoveryHours()
 	sw := ix.SortedSoftwareRecoveryHours()
 	if len(hw) == 0 || len(sw) == 0 {

@@ -61,27 +61,3 @@ func TestFitAllManyRecordsPerSampleFailures(t *testing.T) {
 		t.Fatal("empty sample should have recorded a fit error")
 	}
 }
-
-func TestFitBestManyMatchesSequential(t *testing.T) {
-	samples := batchSamples(t)
-	got, err := FitBestMany(samples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, xs := range samples {
-		want, err := FitBest(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got[i]) {
-			t.Errorf("sample %d: best fit diverged from sequential", i)
-		}
-	}
-}
-
-func TestFitBestManyPropagatesFirstError(t *testing.T) {
-	samples := [][]float64{{1, 2, 3, 4, 5}, nil, {2, 3, 4, 5, 6}}
-	if _, err := FitBestMany(samples, 3); err == nil {
-		t.Fatal("expected the empty sample to abort the batch")
-	}
-}

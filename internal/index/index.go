@@ -1,6 +1,6 @@
 // Package index is the analysis engine's memoized read substrate: an
 // immutable, lazily-built view over one failures.Log, constructed once
-// per core.Run (and once per log in CompareParallel) and shared by every
+// per core.Run (and once per log in core.Compare) and shared by every
 // analysis phase.
 //
 // Before the index, each of the ~15 phases of the battery independently
@@ -16,8 +16,8 @@
 //   - the inter-arrival and recovery series in log order (so means keep
 //     their historical accumulation order bit-for-bit), and
 //   - sorted-sample arenas for every series, feeding the sorted-path
-//     stats APIs (QuantilesSorted, SummarizeSorted, NewECDFSorted) and
-//     dist.FitAllSorted so the hot path sorts each sample at most once.
+//     stats APIs (QuantilesSorted, SummarizeSorted, NewECDFSorted) so
+//     the hot path sorts each sample at most once.
 //
 // Concurrency: every facet is guarded by its own facetOnce (a sync.Once
 // whose completion is observable — delta.go), so phases fanned out by

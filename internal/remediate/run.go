@@ -10,6 +10,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spares"
 )
 
 // StepProfile parameterizes the remediation pipeline: one duration
@@ -137,7 +138,7 @@ type Config struct {
 	// predictions and false alarms.
 	Predictor Predictor
 	// Parts supplies spare parts for Replacing steps; nil means always
-	// available.
+	// available (spares.Unlimited).
 	Parts sim.PartsPolicy
 	Seed  int64
 }
@@ -245,14 +246,6 @@ const (
 	evkStepDone
 	evkVerifyDone
 )
-
-// noParts is the default parts policy: no provisioning delays.
-type noParts struct{}
-
-func (noParts) Observe(failures.Category, float64) {}
-func (noParts) Acquire(failures.Category, float64) float64 {
-	return 0
-}
 
 // procRun couples a failure process with its deterministic sampling
 // stream and the pending (already scheduled, not yet fired) arrival.
@@ -362,7 +355,7 @@ func Run(cfg Config) (*Result, error) {
 		alarmR: dist.Fork(cfg.Seed, "remediate/alarm"),
 	}
 	if r.parts == nil {
-		r.parts = noParts{}
+		r.parts = spares.Unlimited{}
 	}
 	for i := range r.nodes {
 		r.nodes[i].openSince = math.NaN()
@@ -421,7 +414,7 @@ func Run(cfg Config) (*Result, error) {
 func (r *run) scheduleArrival(p int32) {
 	st := &r.procs[p]
 	gap := st.proc.Interarrival.Sample(st.arrivalRNG)
-	st.pendingFirst, st.pendingCount = r.pickVictims(&st.proc, st.arrivalRNG)
+	st.pendingFirst, st.pendingCount = sim.PickVictims(&st.proc, r.cfg.Nodes, r.cfg.NodesPerRack, st.arrivalRNG)
 	st.pendingPredicted = r.predR.Float64() < r.cfg.Predictor.Accuracy
 	if st.pendingPredicted {
 		lead := gap - r.cfg.Predictor.LeadTimeHours
@@ -431,23 +424,6 @@ func (r *run) scheduleArrival(p int32) {
 		r.eng.ScheduleEvent(lead, evkPredict, p)
 	}
 	r.eng.ScheduleEvent(gap, evkArrival, p)
-}
-
-// pickVictims selects the contiguous node range a failure takes down:
-// one uniform node, or a whole rack for rack-scoped processes (the last
-// rack may be partial).
-func (r *run) pickVictims(proc *sim.FailureProcess, rng *rand.Rand) (first, count int32) {
-	if proc.Scope != sim.ScopeRack {
-		return int32(rng.Intn(r.cfg.Nodes)), 1
-	}
-	racks := (r.cfg.Nodes + r.cfg.NodesPerRack - 1) / r.cfg.NodesPerRack
-	rack := rng.Intn(racks)
-	lo := rack * r.cfg.NodesPerRack
-	hi := lo + r.cfg.NodesPerRack
-	if hi > r.cfg.Nodes {
-		hi = r.cfg.Nodes
-	}
-	return int32(lo), int32(hi - lo)
 }
 
 // scheduleFalseAlarm self-reschedules the fleet-wide Poisson stream of

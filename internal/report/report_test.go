@@ -16,7 +16,7 @@ func testComparison(t *testing.T) *core.Comparison {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := core.Compare(t2, t3)
+	cmp, err := core.Compare(t2, t3, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

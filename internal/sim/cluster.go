@@ -10,6 +10,7 @@ import (
 	"repro/internal/failures"
 	"repro/internal/obs"
 	"repro/internal/sample"
+	"repro/internal/spares"
 )
 
 // Scope is the blast radius of a failure stream.
@@ -49,14 +50,6 @@ type PartsPolicy interface {
 	Acquire(cat failures.Category, now float64) (waitHours float64)
 }
 
-// alwaysAvailable is the default parts policy: no provisioning delays.
-type alwaysAvailable struct{}
-
-func (alwaysAvailable) Observe(failures.Category, float64) {}
-func (alwaysAvailable) Acquire(failures.Category, float64) float64 {
-	return 0
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	Nodes int
@@ -70,7 +63,8 @@ type Config struct {
 	Processes    []FailureProcess
 	// Crews is the number of simultaneous repairs; 0 means unlimited.
 	Crews int
-	// Parts supplies spare parts; nil means always available.
+	// Parts supplies spare parts; nil means always available
+	// (spares.Unlimited).
 	Parts PartsPolicy
 	// Proactive, when non-nil, models prediction-initiated recovery (the
 	// paper's RQ5 recommendation): a failure arriving within WindowHours
@@ -206,9 +200,6 @@ type Result struct {
 	GPUCardHoursLost float64
 }
 
-// interval is a node-down span used for downtime union accounting.
-type interval struct{ start, end float64 }
-
 // repairTask is one queued repair, pooled in the run's ring buffer. The
 // victim set is a contiguous node range (one node, or a whole rack), so
 // a (first, count) pair replaces the per-failure victim slice the old
@@ -252,8 +243,8 @@ func (st *procState) drawInvolvement() int32 {
 // one open interval per node: O(nodes) memory for a fleet-scale decade
 // trial instead of O(failures) interval records. The flush arithmetic
 // (clip, subtract, accumulate per node, then sum in node order) repeats
-// the retired mergeSpans/unionLength pipeline operation for operation,
-// keeping results byte-identical.
+// the merge-then-measure reference pipeline operation for operation,
+// keeping results byte-identical (TestDownTrackerMatchesUnionLength).
 type downTracker struct {
 	curStart []float64
 	curEnd   []float64 // -1 marks "no open interval"
@@ -320,8 +311,7 @@ func (d *downTracker) flush(node int32) {
 }
 
 // total flushes every open interval and sums the per-node losses in node
-// order (the summation order of the per-node unionLength loop it
-// replaced).
+// order (the summation order of the per-node reference loop).
 func (d *downTracker) total() float64 {
 	for node := range d.curEnd {
 		if d.curEnd[node] >= 0 {
@@ -379,7 +369,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	parts := cfg.Parts
 	if parts == nil {
-		parts = alwaysAvailable{}
+		parts = spares.Unlimited{}
 	}
 	eng := &Engine{}
 	res := &Result{PerCategory: make(map[failures.Category]CategoryStats, len(cfg.Processes))}
@@ -455,7 +445,7 @@ func Run(cfg Config) (*Result, error) {
 			st := &states[arg]
 			res.Failures++
 			st.stats.Failures++
-			first, count := pickVictims(&st.proc, &cfg, st.arrivalRNG)
+			first, count := PickVictims(&st.proc, cfg.Nodes, cfg.NodesPerRack, st.arrivalRNG)
 			cards := st.drawInvolvement()
 			parts.Observe(st.proc.Category, eng.Now())
 			discounted := false
@@ -514,63 +504,23 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// pickVictims selects the nodes a failure takes down as a contiguous
-// range: one uniform node, or every node of a uniform rack for
-// rack-scoped processes.
-func pickVictims(proc *FailureProcess, cfg *Config, rng *rand.Rand) (first, count int32) {
+// PickVictims selects the nodes a failure of proc takes down as a
+// contiguous range of a fleet of nodes: one uniform node, or every node
+// of a uniform rack of perRack nodes for rack-scoped processes (the last
+// rack may be partial). It draws from rng exactly once; the fleet
+// simulator and the remediation loop share it.
+func PickVictims(proc *FailureProcess, nodes, perRack int, rng *rand.Rand) (first, count int32) {
 	if proc.Scope != ScopeRack {
-		return int32(rng.Intn(cfg.Nodes)), 1
+		return int32(rng.Intn(nodes)), 1
 	}
-	racks := (cfg.Nodes + cfg.NodesPerRack - 1) / cfg.NodesPerRack
+	racks := (nodes + perRack - 1) / perRack
 	rack := rng.Intn(racks)
-	lo := rack * cfg.NodesPerRack
-	hi := lo + cfg.NodesPerRack
-	if hi > cfg.Nodes {
-		hi = cfg.Nodes
+	lo := rack * perRack
+	hi := lo + perRack
+	if hi > nodes {
+		hi = nodes
 	}
 	return int32(lo), int32(hi - lo)
-}
-
-// mergeSpans returns the sorted union of spans as disjoint intervals.
-// The run loop now unions incrementally (downTracker); this remains the
-// reference implementation for tests and offline span sets.
-func mergeSpans(spans []interval) []interval {
-	if len(spans) == 0 {
-		return nil
-	}
-	sorted := append([]interval(nil), spans...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
-	merged := []interval{sorted[0]}
-	for _, sp := range sorted[1:] {
-		last := &merged[len(merged)-1]
-		if sp.start <= last.end {
-			if sp.end > last.end {
-				last.end = sp.end
-			}
-			continue
-		}
-		merged = append(merged, sp)
-	}
-	return merged
-}
-
-// unionLength returns the total length of the union of spans, clipped to
-// [0, horizon].
-func unionLength(spans []interval, horizon float64) float64 {
-	var total float64
-	for _, sp := range mergeSpans(spans) {
-		s, e := sp.start, sp.end
-		if s < 0 {
-			s = 0
-		}
-		if e > horizon {
-			e = horizon
-		}
-		if e > s {
-			total += e - s
-		}
-	}
-	return total
 }
 
 // sampleNodesDown converts merged node-down span edges into a nodes-down

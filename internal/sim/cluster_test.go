@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -549,6 +551,49 @@ func TestAvailabilitySeriesOffByDefault(t *testing.T) {
 	}
 }
 
+// interval is a node-down span for the reference union accounting.
+type interval struct{ start, end float64 }
+
+// mergeSpans returns the sorted union of spans as disjoint intervals.
+func mergeSpans(spans []interval) []interval {
+	if len(spans) == 0 {
+		return nil
+	}
+	sorted := append([]interval(nil), spans...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].start < sorted[j].start })
+	merged := []interval{sorted[0]}
+	for _, sp := range sorted[1:] {
+		last := &merged[len(merged)-1]
+		if sp.start <= last.end {
+			if sp.end > last.end {
+				last.end = sp.end
+			}
+			continue
+		}
+		merged = append(merged, sp)
+	}
+	return merged
+}
+
+// unionLength returns the total length of the union of spans, clipped to
+// [0, horizon]: the reference pipeline downTracker folds incrementally.
+func unionLength(spans []interval, horizon float64) float64 {
+	var total float64
+	for _, sp := range mergeSpans(spans) {
+		s, e := sp.start, sp.end
+		if s < 0 {
+			s = 0
+		}
+		if e > horizon {
+			e = horizon
+		}
+		if e > s {
+			total += e - s
+		}
+	}
+	return total
+}
+
 func TestMergeSpans(t *testing.T) {
 	merged := mergeSpans([]interval{{5, 10}, {0, 3}, {9, 12}, {20, 25}})
 	want := []interval{{0, 3}, {5, 12}, {20, 25}}
@@ -562,6 +607,97 @@ func TestMergeSpans(t *testing.T) {
 	}
 	if mergeSpans(nil) != nil {
 		t.Error("empty merge should be nil")
+	}
+}
+
+func TestUnionLength(t *testing.T) {
+	tests := []struct {
+		name    string
+		spans   []interval
+		horizon float64
+		want    float64
+	}{
+		{"empty", nil, 100, 0},
+		{"single", []interval{{10, 20}}, 100, 10},
+		{"disjoint", []interval{{0, 10}, {20, 30}}, 100, 20},
+		{"overlapping", []interval{{0, 15}, {10, 20}}, 100, 20},
+		{"nested", []interval{{0, 30}, {10, 20}}, 100, 30},
+		{"out of order", []interval{{20, 30}, {0, 10}}, 100, 20},
+		{"clipped at horizon", []interval{{90, 200}}, 100, 10},
+		{"entirely past horizon", []interval{{150, 200}}, 100, 0},
+		{"touching merge", []interval{{0, 10}, {10, 20}}, 100, 20},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := unionLength(tt.spans, tt.horizon); got != tt.want {
+				t.Errorf("unionLength = %v, want %v", got, tt.want)
+			}
+		})
+	}
+}
+
+// TestDownTrackerMatchesUnionLength is the differential test of the
+// incremental downtime union against the reference merge-then-measure
+// pipeline: on random per-node spans with non-decreasing starts
+// (overlapping, nested, touching, zero-length, clipped at 0 and at the
+// horizon), downTracker.total must equal the node-ordered sum of per-node
+// unionLength bit for bit.
+func TestDownTrackerMatchesUnionLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const horizon = 100.0
+	var clippedLow, clippedHigh int
+	for trial := 0; trial < 500; trial++ {
+		nodes := 1 + rng.Intn(8)
+		perNode := make([][]interval, nodes)
+		down := newDownTracker(nodes, horizon, false)
+		var queue []int // interleaves the nodes' spans in arrival order
+		for n := range perNode {
+			start := -20 + rng.Float64()*30
+			for k := rng.Intn(6); k > 0; k-- {
+				length := rng.Float64() * 30
+				switch rng.Intn(5) {
+				case 0:
+					length = 0
+				case 1:
+					length += 40 // long enough to cross the horizon
+				}
+				if start+length < 0 {
+					length = -start + rng.Float64()*5
+				}
+				perNode[n] = append(perNode[n], interval{start, start + length})
+				queue = append(queue, n)
+				if start < 0 && start+length > 0 {
+					clippedLow++
+				}
+				if start < horizon && start+length > horizon {
+					clippedHigh++
+				}
+				switch rng.Intn(3) {
+				case 0: // same start: nested or equal spans
+				case 1:
+					start += length // touching the previous span
+				default:
+					start += rng.Float64() * 40
+				}
+			}
+		}
+		rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
+		next := make([]int, nodes)
+		for _, n := range queue {
+			sp := perNode[n][next[n]]
+			next[n]++
+			down.add(int32(n), sp.start, sp.end)
+		}
+		var want float64
+		for _, spans := range perNode {
+			want += unionLength(spans, horizon)
+		}
+		if got := down.total(); got != want {
+			t.Fatalf("trial %d: downTracker total %v, reference %v (spans %v)", trial, got, want, perNode)
+		}
+	}
+	if clippedLow == 0 || clippedHigh == 0 {
+		t.Errorf("random spans missed a clip case: at 0 %d, at horizon %d", clippedLow, clippedHigh)
 	}
 }
 

@@ -4,23 +4,28 @@ import (
 	"testing"
 )
 
+// recordArgs installs a handler that appends every dispatched event's arg
+// to the returned slice.
+func recordArgs(eng *Engine) *[]int32 {
+	var order []int32
+	eng.SetHandler(func(_, arg int32) { order = append(order, arg) })
+	return &order
+}
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	eng := &Engine{}
-	var order []int
-	must := func(delay float64, id int) {
-		t.Helper()
-		if err := eng.Schedule(delay, func() { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(5, 1)
-	must(1, 2)
-	must(3, 3)
+	order := recordArgs(eng)
+	eng.ScheduleEvent(5, evArrival, 1)
+	eng.ScheduleEvent(1, evArrival, 2)
+	eng.ScheduleEvent(3, evArrival, 3)
 	eng.Run(10)
-	want := []int{2, 3, 1}
+	want := []int32{2, 3, 1}
+	if len(*order) != len(want) {
+		t.Fatalf("order = %v, want %v", *order, want)
+	}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+		if (*order)[i] != want[i] {
+			t.Fatalf("order = %v, want %v", *order, want)
 		}
 	}
 	if eng.Now() != 10 {
@@ -30,29 +35,27 @@ func TestEngineRunsInTimeOrder(t *testing.T) {
 
 func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	eng := &Engine{}
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := eng.Schedule(2, func() { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
+	order := recordArgs(eng)
+	for i := int32(0); i < 5; i++ {
+		eng.ScheduleEvent(2, evArrival, i)
 	}
 	eng.Run(10)
-	for i := 0; i < 5; i++ {
-		if order[i] != i {
-			t.Fatalf("tie order = %v, want scheduling order", order)
+	if len(*order) != 5 {
+		t.Fatalf("tie order = %v, want 5 events", *order)
+	}
+	for i := int32(0); i < 5; i++ {
+		if (*order)[i] != i {
+			t.Fatalf("tie order = %v, want scheduling order", *order)
 		}
 	}
 }
 
 func TestEngineHorizonStopsEvents(t *testing.T) {
 	eng := &Engine{}
-	fired := false
-	if err := eng.Schedule(100, func() { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	fired := recordArgs(eng)
+	eng.ScheduleEvent(100, evArrival, 0)
 	eng.Run(50)
-	if fired {
+	if len(*fired) != 0 {
 		t.Error("event past horizon fired")
 	}
 	if eng.Pending() != 1 {
@@ -60,19 +63,17 @@ func TestEngineHorizonStopsEvents(t *testing.T) {
 	}
 	// A later Run picks it up.
 	eng.Run(150)
-	if !fired {
+	if len(*fired) != 1 {
 		t.Error("event did not fire on the extended run")
 	}
 }
 
 func TestEngineEventAtExactHorizonFires(t *testing.T) {
 	eng := &Engine{}
-	fired := false
-	if err := eng.Schedule(50, func() { fired = true }); err != nil {
-		t.Fatal(err)
-	}
+	fired := recordArgs(eng)
+	eng.ScheduleEvent(50, evArrival, 0)
 	eng.Run(50)
-	if !fired {
+	if len(*fired) != 1 {
 		t.Error("event at exactly the horizon should fire")
 	}
 }
@@ -80,18 +81,13 @@ func TestEngineEventAtExactHorizonFires(t *testing.T) {
 func TestEngineCascadingEvents(t *testing.T) {
 	eng := &Engine{}
 	count := 0
-	var tick func()
-	tick = func() {
+	eng.SetHandler(func(kind, arg int32) {
 		count++
 		if count < 10 {
-			if err := eng.Schedule(1, tick); err != nil {
-				t.Fatal(err)
-			}
+			eng.ScheduleEvent(1, kind, arg)
 		}
-	}
-	if err := eng.Schedule(1, tick); err != nil {
-		t.Fatal(err)
-	}
+	})
+	eng.ScheduleEvent(1, evArrival, 0)
 	eng.Run(100)
 	if count != 10 {
 		t.Errorf("cascade count = %d, want 10", count)
@@ -104,48 +100,32 @@ func TestEngineCascadingEvents(t *testing.T) {
 func TestEngineNegativeDelayClamps(t *testing.T) {
 	eng := &Engine{}
 	var at float64 = -1
-	if err := eng.Schedule(5, func() {
-		if err := eng.Schedule(-10, func() { at = eng.Now() }); err != nil {
-			t.Fatal(err)
+	eng.SetHandler(func(kind, _ int32) {
+		switch kind {
+		case evArrival:
+			eng.ScheduleEvent(-10, evRepairDone, 0)
+		case evRepairDone:
+			at = eng.Now()
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
+	eng.ScheduleEvent(5, evArrival, 0)
 	eng.Run(20)
 	if at != 5 {
 		t.Errorf("negative-delay event ran at %v, want 5 (now)", at)
 	}
 }
 
+// TestEngineNilAction checks that typed events dispatched with no handler
+// installed are dropped: the queue still drains and the clock advances.
 func TestEngineNilAction(t *testing.T) {
 	eng := &Engine{}
-	if err := eng.Schedule(1, nil); err == nil {
-		t.Error("nil action should be rejected")
+	eng.ScheduleEvent(1, evArrival, 0)
+	eng.ScheduleEvent(2, evRepairDone, 0)
+	eng.Run(10)
+	if eng.Pending() != 0 {
+		t.Errorf("Pending = %d, want 0 (handlerless events are dropped)", eng.Pending())
 	}
-}
-
-func TestUnionLength(t *testing.T) {
-	tests := []struct {
-		name    string
-		spans   []interval
-		horizon float64
-		want    float64
-	}{
-		{"empty", nil, 100, 0},
-		{"single", []interval{{10, 20}}, 100, 10},
-		{"disjoint", []interval{{0, 10}, {20, 30}}, 100, 20},
-		{"overlapping", []interval{{0, 15}, {10, 20}}, 100, 20},
-		{"nested", []interval{{0, 30}, {10, 20}}, 100, 30},
-		{"out of order", []interval{{20, 30}, {0, 10}}, 100, 20},
-		{"clipped at horizon", []interval{{90, 200}}, 100, 10},
-		{"entirely past horizon", []interval{{150, 200}}, 100, 0},
-		{"touching merge", []interval{{0, 10}, {10, 20}}, 100, 20},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := unionLength(tt.spans, tt.horizon); got != tt.want {
-				t.Errorf("unionLength = %v, want %v", got, tt.want)
-			}
-		})
+	if eng.Now() != 10 {
+		t.Errorf("Now = %v, want 10", eng.Now())
 	}
 }

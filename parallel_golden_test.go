@@ -1,6 +1,8 @@
 package tsubame_test
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,18 +15,19 @@ import (
 // TestParallelReportByteIdentical is the end-to-end determinism golden:
 // the full rendered report — every table and figure of the paper — built
 // from a parallel analysis is byte-identical to the sequential one, on
-// both the Tsubame-2 and Tsubame-3 synthetic traces.
+// both the Tsubame-2 and Tsubame-3 synthetic traces. Each single-log
+// study from core.Run at the same width must equal the comparison's.
 func TestParallelReportByteIdentical(t *testing.T) {
 	t2, t3, err := tsubame.GenerateBoth(42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := tsubame.Compare(t2, t3)
+	seq, err := core.Compare(t2, t3, core.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{0, 2, 4, 8} {
-		par, err := tsubame.CompareParallel(t2, t3, width)
+	for _, width := range []int{1, 2, 0, 4, 8} {
+		par, err := core.Compare(t2, t3, core.Options{Parallelism: width})
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
@@ -37,6 +40,18 @@ func TestParallelReportByteIdentical(t *testing.T) {
 		if a, b := tsubame.RenderMarkdownReport(seq), tsubame.RenderMarkdownReport(par); a != b {
 			t.Errorf("width %d: markdown report not byte-identical", width)
 		}
+		for _, pair := range []struct {
+			log  *tsubame.Log
+			want *tsubame.Study
+		}{{t2, seq.Old}, {t3, seq.New}} {
+			study, err := core.Run(pair.log, core.Options{Parallelism: width})
+			if err != nil {
+				t.Fatalf("width %d: %v", width, err)
+			}
+			if !reflect.DeepEqual(study, pair.want) {
+				t.Errorf("width %d: %v study diverged from the sequential comparison's", width, pair.log.System())
+			}
+		}
 	}
 }
 
@@ -44,15 +59,12 @@ func TestParallelReportByteIdentical(t *testing.T) {
 // equivalence gate: the committed golden files pin the full rendered
 // report for seed 42, so a byte-equal render proves the memoized-index
 // battery (internal/index) reproduces the committed sequential output
-// exactly — element order, float accumulation order and all. The goldens
-// are regenerated (go test ./internal/report/ -run Golden -update)
-// whenever the generator's sampling realization intentionally changes.
+// exactly — element order, float accumulation order and all — at every
+// pool width, and through the facade's default width. The goldens are
+// regenerated (go test ./internal/report/ -run Golden -update) whenever
+// the generator's sampling realization intentionally changes.
 func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
 	t2, t3, err := tsubame.GenerateBoth(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := tsubame.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,58 +72,36 @@ func TestIndexedRunMatchesPreIndexGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tsubame.RenderFullReport(cmp); got != string(want) {
-		t.Errorf("indexed full report diverged from the pre-index golden (%d vs %d bytes)", len(got), len(want))
-	}
 	wantMD, err := os.ReadFile(filepath.Join("internal", "report", "testdata", "markdown_report_seed42.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tsubame.RenderMarkdownReport(cmp); got != string(wantMD) {
-		t.Errorf("indexed markdown report diverged from the pre-index golden")
+	check := func(name string, cmp *tsubame.Comparison) {
+		t.Helper()
+		if got := tsubame.RenderFullReport(cmp); got != string(want) {
+			t.Errorf("%s: indexed full report diverged from the pre-index golden (%d vs %d bytes)", name, len(got), len(want))
+		}
+		if got := tsubame.RenderMarkdownReport(cmp); got != string(wantMD) {
+			t.Errorf("%s: indexed markdown report diverged from the pre-index golden", name)
+		}
 	}
-}
-
-// TestStandaloneAnalysesMatchSharedIndex checks the public per-analysis
-// wrappers (each building a private index over the log) land on exactly
-// the Study fields produced by Run's shared index: sharing one view
-// across phases must never change a result.
-func TestStandaloneAnalysesMatchSharedIndex(t *testing.T) {
-	t2, t3, err := tsubame.GenerateBoth(42)
+	cmp, err := tsubame.Compare(t2, t3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, log := range []*tsubame.Log{t2, t3} {
-		study, err := tsubame.AnalyzeParallel(log, 0)
+	check("facade", cmp)
+	for _, width := range []int{1, 2, 0} {
+		cmp, err := core.Compare(t2, t3, core.Options{Parallelism: width})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := core.CategoryBreakdown(log); err != nil || !reflect.DeepEqual(got, study.Breakdown) {
-			t.Errorf("%v: standalone CategoryBreakdown diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TBFAnalysis(log); err != nil || !reflect.DeepEqual(got, study.TBF) {
-			t.Errorf("%v: standalone TBFAnalysis diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TTRAnalysis(log); err != nil || !reflect.DeepEqual(got, study.TTR) {
-			t.Errorf("%v: standalone TTRAnalysis diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TBFByCategory(log, 5); err != nil || !reflect.DeepEqual(got, study.TBFPerType) {
-			t.Errorf("%v: standalone TBFByCategory diverges (%v)", log.System(), err)
-		}
-		if got, err := core.TTRByCategory(log, 2); err != nil || !reflect.DeepEqual(got, study.TTRPerType) {
-			t.Errorf("%v: standalone TTRByCategory diverges (%v)", log.System(), err)
-		}
-		if got, err := core.MonthlySeasonality(log); err != nil || !reflect.DeepEqual(got, study.Seasonal) {
-			t.Errorf("%v: standalone MonthlySeasonality diverges (%v)", log.System(), err)
-		}
-		if got, err := core.NodeFailureCounts(log); err != nil || !reflect.DeepEqual(got, study.NodeCounts) {
-			t.Errorf("%v: standalone NodeFailureCounts diverges (%v)", log.System(), err)
-		}
+		check(fmt.Sprintf("width %d", width), cmp)
 	}
 }
 
 // TestAnalyzeParallelMatchesAnalyze pins the single-study entry point on
-// both generations.
+// both generations: the facade's default width and an explicit pool width
+// give the same study.
 func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 	t2, t3, err := tsubame.GenerateBoth(42)
 	if err != nil {
@@ -122,7 +112,7 @@ func TestAnalyzeParallelMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := tsubame.AnalyzeParallel(log, 6)
+		par, err := core.Run(log, core.Options{Parallelism: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +163,7 @@ func TestSimulationTrialsMatchSequential(t *testing.T) {
 	}
 	parts := func() (tsubame.PartsPolicy, error) { return tsubame.FixedSpares(1, 72) }
 	seeds := []int64{7, 8, 9, 10}
-	par, err := tsubame.RunSimulationTrials(cfg, seeds, 4, parts)
+	par, err := tsubame.RunSimulationTrials(context.Background(), cfg, seeds, 4, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,6 @@ type (
 	PartsPolicy = sim.PartsPolicy
 	// SimTrialStats aggregates a multi-trial simulation run.
 	SimTrialStats = sim.TrialStats
-	// AnalysisOptions configures an analysis run; Parallelism bounds the
-	// analysis worker pool (0 = all cores, 1 = sequential) without
-	// affecting results.
-	AnalysisOptions = core.Options
 	// CheckpointModel parameterizes checkpoint/restart tuning.
 	CheckpointModel = sched.CheckpointModel
 	// Distribution is a univariate duration distribution (hours).
@@ -136,26 +132,16 @@ func Tsubame2Profile() *Profile { return synth.Tsubame2Profile() }
 // calibration for customization.
 func Tsubame3Profile() *Profile { return synth.Tsubame3Profile() }
 
-// Analyze runs the full RQ1-RQ5 battery on one log.
-func Analyze(log *Log) (*Study, error) { return core.NewStudy(log) }
-
-// AnalyzeParallel runs the full battery with the independent analyses
-// fanned out across at most parallelism workers (0 = all cores). The
-// resulting Study is identical to Analyze's for any parallelism; see
-// docs/PARALLELISM.md for the determinism guarantee.
-func AnalyzeParallel(log *Log, parallelism int) (*Study, error) {
-	return core.Run(log, core.Options{Parallelism: parallelism})
-}
+// Analyze runs the full RQ1-RQ5 battery on one log, fanning the
+// independent analyses out across every core; the Study is identical at
+// any width (docs/PARALLELISM.md).
+func Analyze(log *Log) (*Study, error) { return core.Run(log, core.Options{}) }
 
 // Compare analyzes two logs and contrasts the generations the way the
-// paper contrasts Tsubame-2 and Tsubame-3.
-func Compare(oldLog, newLog *Log) (*Comparison, error) { return core.Compare(oldLog, newLog) }
-
-// CompareParallel is Compare with both studies and their analyses fanned
-// out across at most parallelism workers; the Comparison is identical to
-// Compare's for any parallelism.
-func CompareParallel(oldLog, newLog *Log, parallelism int) (*Comparison, error) {
-	return core.CompareParallel(oldLog, newLog, core.Options{Parallelism: parallelism})
+// paper contrasts Tsubame-2 and Tsubame-3. Both studies and their
+// analyses run concurrently; the Comparison is identical at any width.
+func Compare(oldLog, newLog *Log) (*Comparison, error) {
+	return core.Compare(oldLog, newLog, core.Options{})
 }
 
 // MachineFor returns the Table I machine model of a system.
@@ -165,13 +151,6 @@ func MachineFor(sys System) (Machine, error) { return system.ForSystem(sys) }
 // stepping stepDays, exposing reliability drift within one generation.
 func RollingMTBF(log *Log, windowDays, stepDays int) ([]WindowMTBF, error) {
 	return core.RollingMTBF(log, windowDays, stepDays)
-}
-
-// RollingMTBFParallel is RollingMTBF with the independent window scans
-// fanned out across at most parallelism workers; the series is identical
-// for any parallelism.
-func RollingMTBFParallel(log *Log, windowDays, stepDays, parallelism int) ([]WindowMTBF, error) {
-	return core.RollingMTBFParallel(log, windowDays, stepDays, parallelism)
 }
 
 // MTBFTrend summarizes a rolling series as late-third over early-third
@@ -223,15 +202,10 @@ func RunSimulation(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 // parallelism workers, returning per-trial results in seed order. Each
 // trial is byte-identical to a sequential RunSimulation with that seed.
 // parts builds a fresh (stateful) policy per trial; nil means spares are
-// always available.
-func RunSimulationTrials(cfg SimConfig, seeds []int64, parallelism int, parts func() (PartsPolicy, error)) ([]*SimResult, error) {
-	return sim.RunTrials(context.Background(), cfg, seeds, parallelism, parts)
-}
-
-// RunSimulationTrialsContext is RunSimulationTrials with cancellation:
-// when ctx is cancelled no new trials start, in-flight trials finish,
-// and the context error is returned. tsubame-sim wires this to SIGINT.
-func RunSimulationTrialsContext(ctx context.Context, cfg SimConfig, seeds []int64, parallelism int, parts func() (PartsPolicy, error)) ([]*SimResult, error) {
+// always available. When ctx is cancelled no new trials start, in-flight
+// trials finish, and the context error is returned; tsubame-sim wires
+// this to SIGINT.
+func RunSimulationTrials(ctx context.Context, cfg SimConfig, seeds []int64, parallelism int, parts func() (PartsPolicy, error)) ([]*SimResult, error) {
 	return sim.RunTrials(ctx, cfg, seeds, parallelism, parts)
 }
 
