@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke profile-gen fuzz-smoke conform cover vet lint api-size ci clean
+.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke perfbench-test profile-gen fuzz-smoke conform cover vet lint api-size ci clean
 
 ## build: compile every package and command
 build:
@@ -117,6 +117,12 @@ fuzz-smoke:
 remediate-smoke:
 	./scripts/remediate_smoke.sh
 
+## perfbench-test: unit tests of the end-to-end benchmark harness.
+## perfbench/ is its own module (replace repro => ../), so the root
+## `./...` patterns of `test` and `race` never reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 ## convert-smoke: lossless-conversion gate for the columnar data plane —
 ## generate a 100k-record trace, convert NDJSON -> .tsbc -> NDJSON, and
 ## require byte identity, plus a streaming .tsbc digest byte-identical
@@ -150,7 +156,7 @@ api-size:
 	./scripts/api_size.sh
 
 ## ci: every blocking CI step, in CI's order
-ci: build vet test race conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
+ci: build vet test race perfbench-test conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
 
 clean:
 	rm -f BENCH_ci.json BENCH_perf.txt PROFILE_gen_cpu.out PROFILE_gen_mem.out CONFORM_report.json COVER_profile.out repro.test

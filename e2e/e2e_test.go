@@ -150,21 +150,27 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	cases := []struct {
 		tool string
 		args []string
+		want string // when set, stderr must name this flag
 	}{
-		{"tsubame-analyze", []string{"-parallel", "-1"}},
-		{"tsubame-anonymize", []string{"-in", "testdata/t2-seed42.csv"}}, // missing -key
-		{"tsubame-benchcheck", nil},                                      // missing subcommand
-		{"tsubame-conform", []string{"-seeds", "0"}},
-		{"tsubame-convert", []string{"-in", "testdata/t2-seed42.csv"}}, // stdout needs -format
-		{"tsubame-diff", []string{"-alpha", "2"}},
-		{"tsubame-digest", []string{"-days", "0"}},
-		{"tsubame-fit", []string{"-min", "0"}},
-		{"tsubame-gen", []string{"-runs", "0"}},
-		{"tsubame-remediate", []string{"-policies", "paint"}}, // unknown policy
-		{"tsubame-report", []string{"-bogus"}},                // unknown flag
-		{"tsubame-serve", []string{"-max-body", "0"}},
-		{"tsubame-sim", []string{"-trials", "0"}},
-		{"tsubame-sweep", []string{"-seeds", "0"}}, // also missing -out
+		{"tsubame-analyze", []string{"-parallel", "-1"}, ""},
+		{"tsubame-anonymize", []string{"-in", "testdata/t2-seed42.csv"}, ""}, // missing -key
+		{"tsubame-benchcheck", nil, ""},                                      // missing subcommand
+		{"tsubame-conform", []string{"-seeds", "0"}, ""},
+		{"tsubame-convert", []string{"-in", "testdata/t2-seed42.csv"}, ""}, // stdout needs -format
+		{"tsubame-diff", []string{"-alpha", "2"}, ""},
+		{"tsubame-digest", []string{"-days", "0"}, ""},
+		{"tsubame-fit", []string{"-min", "0"}, ""},
+		{"tsubame-gen", []string{"-runs", "0"}, ""},
+		{"tsubame-remediate", []string{"-policies", "paint"}, ""}, // unknown policy
+		{"tsubame-report", []string{"-bogus"}, ""},                // unknown flag
+		{"tsubame-serve", []string{"-max-body", "0"}, ""},
+		{"tsubame-sim", []string{"-trials", "0"}, ""},
+		{"tsubame-sweep", []string{"-seeds", "0"}, ""}, // also missing -out
+		// Non-finite values that used to run until killed.
+		{"tsubame-sim", []string{"-horizon", "Inf"}, "-horizon"},
+		{"tsubame-remediate", []string{"-horizon", "Inf"}, "-horizon"},
+		{"tsubame-remediate", []string{"-false-alarms", "Inf"}, "-false-alarms"},
+		{"tsubame-sweep", []string{"-horizon", "Inf", "-out", filepath.Join(os.TempDir(), "tsubame-sweep-inf")}, "-horizon"},
 	}
 	for _, c := range cases {
 		t.Run(c.tool, func(t *testing.T) {
@@ -175,6 +181,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 			}
 			if !strings.Contains(strings.ToLower(stderr), "usage") {
 				t.Fatalf("%s did not print usage on bad flags:\n%s", c.tool, stderr)
+			}
+			if !strings.Contains(stderr, c.want) {
+				t.Fatalf("%s %s: stderr does not name %s:\n%s", c.tool, strings.Join(c.args, " "), c.want, stderr)
 			}
 		})
 	}

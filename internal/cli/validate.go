@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 )
@@ -35,18 +36,21 @@ func NonNegativeInt(name string, v int) error {
 	return nil
 }
 
-// PositiveFloat requires v > 0 (-horizon, -alarm, -ckpt-cost).
+// PositiveFloat requires a finite v > 0 (-horizon, -alarm, -ckpt-cost).
+// No flag gives +Inf a meaning, and an infinite horizon or rate never
+// lets a simulation finish.
 func PositiveFloat(name string, v float64) error {
-	if !(v > 0) {
-		return fmt.Errorf("-%s must be > 0 (got %v)", name, v)
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-%s must be finite and > 0 (got %v)", name, v)
 	}
 	return nil
 }
 
-// NonNegativeFloat requires v >= 0 (-lead, -restart-cost, -proactive).
+// NonNegativeFloat requires a finite v >= 0 (-lead, -restart-cost,
+// -proactive, -false-alarms).
 func NonNegativeFloat(name string, v float64) error {
-	if !(v >= 0) {
-		return fmt.Errorf("-%s must be >= 0 (got %v)", name, v)
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-%s must be finite and >= 0 (got %v)", name, v)
 	}
 	return nil
 }

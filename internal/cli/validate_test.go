@@ -51,6 +51,7 @@ func TestPositiveFloat(t *testing.T) {
 	}{
 		{8760, false}, {0.001, false},
 		{0, true}, {-1, true}, {math.NaN(), true}, {math.Inf(-1), true},
+		{math.Inf(1), true}, // no flag gives +Inf a meaning
 	}
 	for _, tt := range tests {
 		err := PositiveFloat("horizon", tt.v)
@@ -66,7 +67,7 @@ func TestNonNegativeFloat(t *testing.T) {
 		wantErr bool
 	}{
 		{0, false}, {72, false},
-		{-0.5, true}, {math.NaN(), true},
+		{-0.5, true}, {math.NaN(), true}, {math.Inf(1), true},
 	}
 	for _, tt := range tests {
 		err := NonNegativeFloat("lead", tt.v)

@@ -67,8 +67,8 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Valid reports whether s is one of the named states.
-func (s State) Valid() bool { return int(s) < numStates }
+// valid reports whether s is one of the named states.
+func (s State) valid() bool { return int(s) < numStates }
 
 // Event is a remediation state-machine input.
 type Event uint8
@@ -113,8 +113,8 @@ func (e Event) String() string {
 	return fmt.Sprintf("Event(%d)", int(e))
 }
 
-// Valid reports whether e is one of the named events.
-func (e Event) Valid() bool { return int(e) < numEvents }
+// valid reports whether e is one of the named events.
+func (e Event) valid() bool { return int(e) < numEvents }
 
 // Transition errors. ErrIllegalTransition wraps every (state, event)
 // rejection so callers can match it with errors.Is; ErrUnknownState and
@@ -172,10 +172,10 @@ var transitions = [numStates][numEvents]struct {
 // ErrIllegalTransition (wrapped with both names) for a legal-domain pair
 // the lifecycle does not admit.
 func Transition(s State, e Event) (State, error) {
-	if !s.Valid() {
+	if !s.valid() {
 		return s, fmt.Errorf("%w: %d", ErrUnknownState, int(s))
 	}
-	if !e.Valid() {
+	if !e.valid() {
 		return s, fmt.Errorf("%w: %d", ErrUnknownEvent, int(e))
 	}
 	t := transitions[s][e]

@@ -66,7 +66,7 @@ func TestTransitionExhaustive(t *testing.T) {
 				if got != wantNext {
 					t.Errorf("Transition(%v, %v) = %v, want %v", s, e, got, wantNext)
 				}
-				if !got.Valid() {
+				if !got.valid() {
 					t.Errorf("Transition(%v, %v) produced invalid state %d", s, e, int(got))
 				}
 				continue
@@ -117,7 +117,7 @@ func TestStateAndEventNames(t *testing.T) {
 			t.Errorf("duplicate state name %q", name)
 		}
 		seen[name] = true
-		if !State(si).Valid() {
+		if !State(si).valid() {
 			t.Errorf("state %q should be valid", name)
 		}
 	}
@@ -127,7 +127,7 @@ func TestStateAndEventNames(t *testing.T) {
 			t.Errorf("duplicate event name %q", name)
 		}
 		seen[name] = true
-		if !Event(ei).Valid() {
+		if !Event(ei).valid() {
 			t.Errorf("event %q should be valid", name)
 		}
 	}
@@ -137,7 +137,7 @@ func TestStateAndEventNames(t *testing.T) {
 	if got := Event(99).String(); got != "Event(99)" {
 		t.Errorf("out-of-range event string %q", got)
 	}
-	if State(99).Valid() || Event(99).Valid() {
+	if State(99).valid() || Event(99).valid() {
 		t.Error("out-of-range state/event should be invalid")
 	}
 }
@@ -174,7 +174,7 @@ func TestPropertyMachineClosure(t *testing.T) {
 				}
 				continue
 			}
-			if !next.Valid() {
+			if !next.valid() {
 				return fmt.Errorf("step %d: %v on %v produced invalid state %d", i, e, s, int(next))
 			}
 			s = next

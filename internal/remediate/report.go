@@ -3,6 +3,7 @@ package remediate
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/failures"
 	"repro/internal/obs"
@@ -213,24 +214,12 @@ func Compare(cc CompareConfig) (*Report, error) {
 }
 
 // sortedRows flattens a category map into lexically ordered rows so JSON
-// output is deterministic.
+// output is deterministic (categories are unique, so the order is total).
 func sortedRows(m map[failures.Category]CategoryRow) []CategoryRow {
 	rows := make([]CategoryRow, 0, len(m))
-	for _, cat := range sortedCats(m) {
-		rows = append(rows, m[cat])
+	for _, row := range m {
+		rows = append(rows, row)
 	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Category < rows[j].Category })
 	return rows
-}
-
-func sortedCats(m map[failures.Category]CategoryRow) []failures.Category {
-	cats := make([]failures.Category, 0, len(m))
-	for cat := range m {
-		cats = append(cats, cat)
-	}
-	for i := 1; i < len(cats); i++ {
-		for j := i; j > 0 && cats[j] < cats[j-1]; j-- {
-			cats[j], cats[j-1] = cats[j-1], cats[j]
-		}
-	}
-	return cats
 }

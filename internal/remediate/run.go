@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -113,6 +112,11 @@ func (p *Predictor) validate() error {
 	if p.FalseAlarmsPerYear < 0 {
 		return fmt.Errorf("remediate: negative false-alarm rate %v", p.FalseAlarmsPerYear)
 	}
+	if math.IsInf(p.FalseAlarmsPerYear, 0) || math.IsNaN(p.FalseAlarmsPerYear) {
+		// An infinite rate schedules every false alarm at the same
+		// instant and the run never advances.
+		return fmt.Errorf("remediate: false-alarm rate must be finite, got %v", p.FalseAlarmsPerYear)
+	}
 	return nil
 }
 
@@ -144,33 +148,8 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if c.Nodes < 1 {
-		return fmt.Errorf("remediate: need at least one node, got %d", c.Nodes)
-	}
-	if !(c.HorizonHours > 0) {
-		return fmt.Errorf("remediate: horizon must be positive, got %v", c.HorizonHours)
-	}
-	if len(c.Processes) == 0 {
-		return fmt.Errorf("remediate: need at least one failure process")
-	}
-	seen := make(map[failures.Category]bool, len(c.Processes))
-	for i, p := range c.Processes {
-		if p.Interarrival == nil || p.Repair == nil {
-			return fmt.Errorf("remediate: process %d (%s) missing distributions", i, p.Category)
-		}
-		if seen[p.Category] {
-			return fmt.Errorf("remediate: duplicate process for category %s", p.Category)
-		}
-		seen[p.Category] = true
-		if p.Scope == sim.ScopeRack && c.NodesPerRack < 1 {
-			return fmt.Errorf("remediate: rack-scoped process %s requires NodesPerRack", p.Category)
-		}
-		if p.Scope != sim.ScopeNode && p.Scope != sim.ScopeRack {
-			return fmt.Errorf("remediate: process %s has unknown scope %d", p.Category, int(p.Scope))
-		}
-	}
-	if c.Crews < 0 {
-		return fmt.Errorf("remediate: negative crew count %d", c.Crews)
+	if err := sim.ValidateFleet(c.Nodes, c.NodesPerRack, c.HorizonHours, c.Processes, c.Crews); err != nil {
+		return fmt.Errorf("remediate: %w", err)
 	}
 	if err := validatePolicy(c.Policy); err != nil {
 		return err
@@ -187,9 +166,6 @@ type StepFailures struct {
 	Replace int `json:"replace"`
 	Verify  int `json:"verify"`
 }
-
-// Total is the failed attempts across all steps.
-func (s StepFailures) Total() int { return s.Reset + s.Replace + s.Verify }
 
 // CategoryStats aggregates one category's remediation outcomes.
 type CategoryStats struct {
@@ -247,25 +223,20 @@ const (
 	evkVerifyDone
 )
 
-// procRun couples a failure process with its deterministic sampling
-// stream and the pending (already scheduled, not yet fired) arrival.
+// procRun is one process's per-run state, indexed like the run's
+// arrival streams: whether the scheduled arrival is oracle-flagged, and
+// the category accumulators.
 type procRun struct {
-	proc       sim.FailureProcess
-	arrivalRNG *rand.Rand
-	// pendingFirst/pendingCount is the victim range of the scheduled
-	// arrival; pendingPredicted marks it oracle-flagged.
-	pendingFirst     int32
-	pendingCount     int32
-	pendingPredicted bool
-	stats            CategoryStats
+	predicted bool
+	stats     CategoryStats
 }
 
 // nodeRun is one node's live remediation state.
 type nodeRun struct {
 	state State
-	// cat is the failure category driving the current remediation (used
-	// for spare-part acquisition and per-category attribution).
-	cat failures.Category
+	// proc is the index of the failure process driving the current
+	// remediation (spare-part acquisition and per-category attribution).
+	proc int32
 	// resets counts failed reset attempts in the current cycle.
 	resets int
 	// remStart is when the current remediation clock started: the
@@ -282,44 +253,17 @@ type nodeRun struct {
 	openSince float64
 }
 
-// cordonQueue is a FIFO ring of node indices waiting for a crew.
-type cordonQueue struct {
-	buf  []int32
-	head int
-}
-
-func (q *cordonQueue) push(n int32) {
-	if q.head > 64 && q.head*2 >= len(q.buf) {
-		m := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:m]
-		q.head = 0
-	}
-	q.buf = append(q.buf, n)
-}
-
-func (q *cordonQueue) pop() int32 {
-	n := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return n
-}
-
-func (q *cordonQueue) len() int { return len(q.buf) - q.head }
-
 // run holds the mutable state of one simulation.
 type run struct {
-	cfg    *Config
-	eng    *sim.Engine
-	parts  sim.PartsPolicy
-	procs  []procRun
-	nodes  []nodeRun
-	res    *Result
-	queue  cordonQueue
-	free   int
-	unlim  bool
+	cfg      *Config
+	eng      *sim.Engine
+	parts    sim.PartsPolicy
+	arrivals []sim.ArrivalStream
+	procs    []procRun
+	nodes    []nodeRun
+	res      *Result
+	// queue holds cordoned nodes waiting for a crew.
+	queue  sim.RepairQueue[int32]
 	stepR  *rand.Rand
 	predR  *rand.Rand
 	alarmR *rand.Rand
@@ -348,8 +292,7 @@ func Run(cfg Config) (*Result, error) {
 		parts:  cfg.Parts,
 		nodes:  make([]nodeRun, cfg.Nodes),
 		res:    &Result{PerCategory: make(map[failures.Category]CategoryStats, len(cfg.Processes))},
-		free:   cfg.Crews,
-		unlim:  cfg.Crews == 0,
+		queue:  sim.RepairQueue[int32]{Crews: cfg.Crews},
 		stepR:  dist.Fork(cfg.Seed, "remediate/steps"),
 		predR:  dist.Fork(cfg.Seed, "remediate/predict"),
 		alarmR: dist.Fork(cfg.Seed, "remediate/alarm"),
@@ -360,16 +303,18 @@ func Run(cfg Config) (*Result, error) {
 	for i := range r.nodes {
 		r.nodes[i].openSince = math.NaN()
 	}
-	r.procs = make([]procRun, len(cfg.Processes))
-	for i, p := range cfg.Processes {
-		r.procs[i].proc = p
-		r.procs[i].arrivalRNG = dist.Fork(cfg.Seed, "remediate/arrival/"+string(p.Category))
+	// The remediation loop draws no GPU card counts.
+	arrivals, err := sim.NewArrivalStreams(cfg.Seed, "remediate/", cfg.Processes, cfg.Nodes, cfg.NodesPerRack, false)
+	if err != nil {
+		return nil, fmt.Errorf("remediate: %w", err)
 	}
+	r.arrivals = arrivals
+	r.procs = make([]procRun, len(cfg.Processes))
 
 	r.eng.SetHandler(r.handle)
-	// One self-rescheduling arrival stream per process, started in
-	// declaration order so event tie-breaking is deterministic.
-	for i := range r.procs {
+	// Start the arrival streams in declaration order so event
+	// tie-breaking is deterministic.
+	for i := range r.arrivals {
 		r.scheduleArrival(int32(i))
 	}
 	if cfg.Predictor.FalseAlarmsPerYear > 0 {
@@ -394,13 +339,8 @@ func Run(cfg Config) (*Result, error) {
 		r.res.MeanRemediationHours = r.remHours / float64(r.res.Remediations)
 	}
 	for i := range r.procs {
-		st := &r.procs[i]
-		if st.stats != (CategoryStats{}) {
-			cur := r.res.PerCategory[st.proc.Category]
-			cur.Failures += st.stats.Failures
-			cur.Remediations += st.stats.Remediations
-			cur.SparesUsed += st.stats.SparesUsed
-			r.res.PerCategory[st.proc.Category] = cur
+		if st := r.procs[i].stats; st != (CategoryStats{}) {
+			r.res.PerCategory[r.arrivals[i].Proc.Category] = st
 		}
 	}
 	return r.res, nil
@@ -412,11 +352,10 @@ func Run(cfg Config) (*Result, error) {
 // predictor settings. A predicted incident fires a pre-alarm
 // LeadTimeHours early (clamped to now).
 func (r *run) scheduleArrival(p int32) {
+	gap := r.arrivals[p].Next()
 	st := &r.procs[p]
-	gap := st.proc.Interarrival.Sample(st.arrivalRNG)
-	st.pendingFirst, st.pendingCount = sim.PickVictims(&st.proc, r.cfg.Nodes, r.cfg.NodesPerRack, st.arrivalRNG)
-	st.pendingPredicted = r.predR.Float64() < r.cfg.Predictor.Accuracy
-	if st.pendingPredicted {
+	st.predicted = r.predR.Float64() < r.cfg.Predictor.Accuracy
+	if st.predicted {
 		lead := gap - r.cfg.Predictor.LeadTimeHours
 		if lead < 0 {
 			lead = 0
@@ -498,17 +437,17 @@ func (r *run) handle(kind, arg int32) {
 
 // handleArrival is one failure incident landing on its victim range.
 func (r *run) handleArrival(p int32) {
-	st := &r.procs[p]
+	arr, st := &r.arrivals[p], &r.procs[p]
 	now := r.eng.Now()
 	r.res.Failures++
 	st.stats.Failures++
-	if st.pendingPredicted {
+	if st.predicted {
 		r.res.Predicted++
 	}
-	r.parts.Observe(st.proc.Category, now)
-	noOutage := st.pendingPredicted
+	r.parts.Observe(arr.Proc.Category, now)
+	noOutage := st.predicted
 	anyProactive := false
-	for n := st.pendingFirst; n < st.pendingFirst+st.pendingCount; n++ {
+	for n := arr.First; n < arr.First+arr.Count; n++ {
 		r.res.NodeFailures++
 		nd := &r.nodes[n]
 		wasUp := nd.state.Up()
@@ -522,7 +461,7 @@ func (r *run) handleArrival(p int32) {
 			// A fresh outage: the node went hard down. Charge from now
 			// and ask the policy when to start remediation.
 			noOutage = false
-			nd.cat = st.proc.Category
+			nd.proc = p
 			nd.remStart = now
 			nd.proactive = false
 			r.markDown(n)
@@ -541,15 +480,15 @@ func (r *run) handleArrival(p int32) {
 // handlePredict is the oracle's pre-alarm for process p's pending
 // arrival: the policy may cordon the victims before the failure lands.
 func (r *run) handlePredict(p int32) {
-	st := &r.procs[p]
+	arr := &r.arrivals[p]
 	now := r.eng.Now()
 	delay := r.cfg.Policy.PredictDelay(now)
 	if delay < 0 {
 		return
 	}
-	for n := st.pendingFirst; n < st.pendingFirst+st.pendingCount; n++ {
+	for n := arr.First; n < arr.First+arr.Count; n++ {
 		if r.nodes[n].state == Healthy {
-			r.nodes[n].cat = st.proc.Category
+			r.nodes[n].proc = p
 			r.eng.ScheduleEvent(delay, evkCordon, n)
 		}
 	}
@@ -561,9 +500,9 @@ func (r *run) handleFalseAlarm() {
 	now := r.eng.Now()
 	r.res.FalseAlarms++
 	n := int32(r.alarmR.Intn(r.cfg.Nodes))
-	cat := r.procs[r.alarmR.Intn(len(r.procs))].proc.Category
+	p := int32(r.alarmR.Intn(len(r.procs)))
 	if delay := r.cfg.Policy.PredictDelay(now); delay >= 0 && r.nodes[n].state == Healthy {
-		r.nodes[n].cat = cat
+		r.nodes[n].proc = p
 		r.eng.ScheduleEvent(delay, evkCordon, n)
 	}
 	r.scheduleFalseAlarm()
@@ -587,21 +526,22 @@ func (r *run) handleCordon(n int32) {
 		return
 	}
 	r.res.Cordons++
-	r.queue.push(n)
+	r.queue.Push(n)
 	r.dispatchCrews()
 }
 
-// dispatchCrews starts remediations while crews are free, skipping stale
-// queue entries whose node has left Cordoned (it failed again and will
-// re-queue through its fresh detection cordon).
+// dispatchCrews starts remediations while crews are free. A stale queue
+// entry, whose node has left Cordoned (it failed again and will re-queue
+// through its fresh detection cordon), hands its crew straight back.
 func (r *run) dispatchCrews() {
-	for r.queue.len() > 0 && (r.unlim || r.free > 0) {
-		n := r.queue.pop()
-		if r.nodes[n].state != Cordoned {
-			continue
+	for {
+		n, ok := r.queue.Dispatch()
+		if !ok {
+			return
 		}
-		if !r.unlim {
-			r.free--
+		if r.nodes[n].state != Cordoned {
+			r.queue.Release()
+			continue
 		}
 		r.begin(n)
 		if r.err != nil {
@@ -687,24 +627,11 @@ func (r *run) handleStepDone(n int32) {
 func (r *run) beginReplace(n int32) {
 	nd := &r.nodes[n]
 	now := r.eng.Now()
-	wait := r.parts.Acquire(nd.cat, now)
+	wait := r.parts.Acquire(r.arrivals[nd.proc].Proc.Category, now)
 	r.res.SparesConsumed++
 	r.res.SpareWaitHours += wait
-	if i := r.procIndex(nd.cat); i >= 0 {
-		r.procs[i].stats.SparesUsed++
-	}
+	r.procs[nd.proc].stats.SparesUsed++
 	r.eng.ScheduleEvent(wait+r.cfg.Steps.Replace.Sample(r.stepR), evkStepDone, n)
-}
-
-// procIndex maps a category back to its process (linear over the few
-// fitted processes).
-func (r *run) procIndex(cat failures.Category) int {
-	for i := range r.procs {
-		if r.procs[i].proc.Category == cat {
-			return i
-		}
-	}
-	return -1
 }
 
 // handleVerifyDone resolves the health check: pass returns the node to
@@ -727,22 +654,9 @@ func (r *run) handleVerifyDone(n int32) {
 	nd.proactive = false
 	r.res.Remediations++
 	r.remHours += r.eng.Now() - nd.remStart
-	if i := r.procIndex(nd.cat); i >= 0 {
-		r.procs[i].stats.Remediations++
-	}
-	if !r.unlim {
-		r.free++
-		r.dispatchCrews()
-	}
-}
-
-// SortedCategories returns the result's categories in lexical order, the
-// deterministic iteration order for reports.
-func (res *Result) SortedCategories() []failures.Category {
-	cats := make([]failures.Category, 0, len(res.PerCategory))
-	for cat := range res.PerCategory {
-		cats = append(cats, cat)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	return cats
+	r.procs[nd.proc].stats.Remediations++
+	// With unlimited crews the queue is always empty here, so the
+	// dispatch is a no-op.
+	r.queue.Release()
+	r.dispatchCrews()
 }

@@ -264,6 +264,7 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"no nodes", func(c *Config) { c.Nodes = 0 }},
 		{"no horizon", func(c *Config) { c.HorizonHours = 0 }},
+		{"infinite horizon", func(c *Config) { c.HorizonHours = math.Inf(1) }},
 		{"no processes", func(c *Config) { c.Processes = nil }},
 		{"duplicate category", func(c *Config) { c.Processes = append(c.Processes, c.Processes[0]) }},
 		{"rack scope without racks", func(c *Config) { c.NodesPerRack = 0 }},
@@ -276,6 +277,8 @@ func TestRunValidation(t *testing.T) {
 		{"accuracy out of range", func(c *Config) { c.Predictor.Accuracy = 1 }},
 		{"accuracy without lead", func(c *Config) { c.Predictor.LeadTimeHours = 0 }},
 		{"negative false alarms", func(c *Config) { c.Predictor.FalseAlarmsPerYear = -1 }},
+		{"infinite false alarms", func(c *Config) { c.Predictor.FalseAlarmsPerYear = math.Inf(1) }},
+		{"NaN false alarms", func(c *Config) { c.Predictor.FalseAlarmsPerYear = math.NaN() }},
 	}
 	for _, c := range cases {
 		cfg := base()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/failures"
 	"repro/internal/obs"
-	"repro/internal/sample"
 	"repro/internal/spares"
 )
 
@@ -105,49 +104,30 @@ func (p *ProactiveRecovery) validate() error {
 	return nil
 }
 
+// validate checks the shared fleet shape (ValidateFleet), then what only
+// this loop models: involvement PMFs, the sampling cadence, and the
+// proactive-recovery discount.
 func (c *Config) validate() error {
-	if c.Nodes < 1 {
-		return fmt.Errorf("sim: need at least one node, got %d", c.Nodes)
+	if err := ValidateFleet(c.Nodes, c.NodesPerRack, c.HorizonHours, c.Processes, c.Crews); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
-	if !(c.HorizonHours > 0) {
-		return fmt.Errorf("sim: horizon must be positive, got %v", c.HorizonHours)
-	}
-	if len(c.Processes) == 0 {
-		return fmt.Errorf("sim: need at least one failure process")
-	}
-	seen := make(map[failures.Category]bool, len(c.Processes))
-	for i, p := range c.Processes {
-		if p.Interarrival == nil || p.Repair == nil {
-			return fmt.Errorf("sim: process %d (%s) missing distributions", i, p.Category)
+	for _, p := range c.Processes {
+		if len(p.Involvement) == 0 {
+			continue
 		}
-		if seen[p.Category] {
-			return fmt.Errorf("sim: duplicate process for category %s", p.Category)
+		if c.GPUsPerNode < len(p.Involvement) {
+			return fmt.Errorf("sim: process %s involvement PMF longer than GPUsPerNode %d", p.Category, c.GPUsPerNode)
 		}
-		seen[p.Category] = true
-		if p.Scope == ScopeRack && c.NodesPerRack < 1 {
-			return fmt.Errorf("sim: rack-scoped process %s requires NodesPerRack", p.Category)
-		}
-		if p.Scope != ScopeNode && p.Scope != ScopeRack {
-			return fmt.Errorf("sim: process %s has unknown scope %d", p.Category, int(p.Scope))
-		}
-		if len(p.Involvement) > 0 {
-			if c.GPUsPerNode < len(p.Involvement) {
-				return fmt.Errorf("sim: process %s involvement PMF longer than GPUsPerNode %d", p.Category, c.GPUsPerNode)
+		var sum float64
+		for j, pr := range p.Involvement {
+			if pr < 0 {
+				return fmt.Errorf("sim: process %s involvement entry %d negative", p.Category, j)
 			}
-			var sum float64
-			for j, pr := range p.Involvement {
-				if pr < 0 {
-					return fmt.Errorf("sim: process %s involvement entry %d negative", p.Category, j)
-				}
-				sum += pr
-			}
-			if sum < 0.999 || sum > 1.001 {
-				return fmt.Errorf("sim: process %s involvement PMF sums to %v", p.Category, sum)
-			}
+			sum += pr
 		}
-	}
-	if c.Crews < 0 {
-		return fmt.Errorf("sim: negative crew count %d", c.Crews)
+		if sum < 0.999 || sum > 1.001 {
+			return fmt.Errorf("sim: process %s involvement PMF sums to %v", p.Category, sum)
+		}
 	}
 	if c.SampleEveryHours < 0 {
 		return fmt.Errorf("sim: negative sampling cadence %v", c.SampleEveryHours)
@@ -213,28 +193,13 @@ type repairTask struct {
 	discounted bool // arrived under a proactive-recovery alarm
 }
 
-// procState couples a process with its deterministic sampling streams,
-// the alias table for its GPU-involvement PMF (nil when the process
-// carries none), and the per-process accumulators folded into the
-// Result map once the run ends (categories are unique per validate).
+// procState is one process's repair stream, proactive alarm, and
+// accumulators, indexed like the run's arrival streams and folded into
+// the Result map once the run ends (categories are unique per validate).
 type procState struct {
-	proc        FailureProcess
-	arrivalRNG  *rand.Rand
 	repairRNG   *rand.Rand
-	involvement *sample.Alias
 	lastArrival float64 // most recent arrival (proactive alarm); -Inf before the first
 	stats       CategoryStats
-}
-
-// drawInvolvement samples the number of GPU cards a failure takes down
-// from the process involvement PMF (0 when the process carries none).
-// The alias draw consumes one uniform variate, exactly like the
-// cumulative-weight scan it replaced.
-func (st *procState) drawInvolvement() int32 {
-	if st.involvement == nil {
-		return 0
-	}
-	return int32(st.involvement.Draw(st.arrivalRNG)) + 1
 }
 
 // downTracker folds node-down intervals into per-node union lengths
@@ -326,40 +291,6 @@ func (d *downTracker) total() float64 {
 	return lost
 }
 
-// taskQueue is a FIFO ring over pooled repairTask records: the waiting-
-// for-a-crew queue. Popped slots are reused once the queue drains or the
-// dead prefix dominates, so steady-state queueing allocates nothing.
-type taskQueue struct {
-	buf  []repairTask
-	head int
-}
-
-func (q *taskQueue) push(t repairTask) {
-	// Compact when the dead prefix dominates a sizable buffer; amortized
-	// O(1) per operation.
-	if q.head > 64 && q.head*2 >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, t)
-}
-
-func (q *taskQueue) pop() repairTask {
-	t := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return t
-}
-
-func (q *taskQueue) len() int { return len(q.buf) - q.head }
-
-// pending iterates the still-queued tasks in FIFO order.
-func (q *taskQueue) pending() []repairTask { return q.buf[q.head:] }
-
 // Run executes the simulation described by cfg. Runs are fully
 // deterministic in (cfg, cfg.Seed).
 func Run(cfg Config) (*Result, error) {
@@ -375,32 +306,24 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{PerCategory: make(map[failures.Category]CategoryStats, len(cfg.Processes))}
 	down := newDownTracker(cfg.Nodes, cfg.HorizonHours, cfg.SampleEveryHours > 0)
 
+	arrivals, err := NewArrivalStreams(cfg.Seed, "", cfg.Processes, cfg.Nodes, cfg.NodesPerRack, true)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	states := make([]procState, len(cfg.Processes))
 	for i, p := range cfg.Processes {
-		st := &states[i]
-		st.proc = p
-		st.arrivalRNG = dist.Fork(cfg.Seed, "arrival/"+string(p.Category))
-		st.repairRNG = dist.Fork(cfg.Seed, "repair/"+string(p.Category))
-		st.lastArrival = math.Inf(-1)
-		if len(p.Involvement) > 0 {
-			alias, err := sample.NewAlias(p.Involvement)
-			if err != nil {
-				return nil, fmt.Errorf("sim: involvement PMF for %s: %w", p.Category, err)
-			}
-			st.involvement = alias
-		}
+		states[i].repairRNG = dist.Fork(cfg.Seed, "repair/"+string(p.Category))
+		states[i].lastArrival = math.Inf(-1)
 	}
 
-	freeCrews := cfg.Crews
-	unlimited := cfg.Crews == 0
-	var queue taskQueue
+	queue := RepairQueue[repairTask]{Crews: cfg.Crews}
 	var totalWait, totalRestore float64
 
 	begin := func(task repairTask) {
-		st := &states[task.proc]
+		proc, st := &arrivals[task.proc].Proc, &states[task.proc]
 		crewWait := eng.Now() - task.start
-		partWait := parts.Acquire(st.proc.Category, eng.Now())
-		duration := st.proc.Repair.Sample(st.repairRNG)
+		partWait := parts.Acquire(proc.Category, eng.Now())
+		duration := proc.Repair.Sample(st.repairRNG)
 		if task.discounted {
 			duration *= cfg.Proactive.Factor
 			res.DiscountedRepairs++
@@ -427,10 +350,10 @@ func Run(cfg Config) (*Result, error) {
 		eng.ScheduleEvent(partWait+duration, evRepairDone, 0)
 	}
 	dispatch := func() {
-		for queue.len() > 0 && (unlimited || freeCrews > 0) {
-			task := queue.pop()
-			if !unlimited {
-				freeCrews--
+		for {
+			task, ok := queue.Dispatch()
+			if !ok {
+				return
 			}
 			begin(task)
 		}
@@ -442,12 +365,10 @@ func Run(cfg Config) (*Result, error) {
 	eng.SetHandler(func(kind, arg int32) {
 		switch kind {
 		case evArrival:
-			st := &states[arg]
+			arr, st := &arrivals[arg], &states[arg]
 			res.Failures++
 			st.stats.Failures++
-			first, count := PickVictims(&st.proc, cfg.Nodes, cfg.NodesPerRack, st.arrivalRNG)
-			cards := st.drawInvolvement()
-			parts.Observe(st.proc.Category, eng.Now())
+			parts.Observe(arr.Proc.Category, eng.Now())
 			discounted := false
 			if cfg.Proactive != nil {
 				if eng.Now()-st.lastArrival <= cfg.Proactive.WindowHours {
@@ -455,26 +376,25 @@ func Run(cfg Config) (*Result, error) {
 				}
 				st.lastArrival = eng.Now()
 			}
-			queue.push(repairTask{proc: arg, firstNode: first, nodeCount: count, cards: cards, start: eng.Now(), discounted: discounted})
-			if queue.len() > res.PeakQueue {
-				res.PeakQueue = queue.len()
+			queue.Push(repairTask{proc: arg, firstNode: arr.First, nodeCount: arr.Count, cards: arr.Cards, start: eng.Now(), discounted: discounted})
+			if n := len(queue.waiting()); n > res.PeakQueue {
+				res.PeakQueue = n
 			}
 			dispatch()
-			eng.ScheduleEvent(st.proc.Interarrival.Sample(st.arrivalRNG), evArrival, arg)
+			eng.ScheduleEvent(arr.Next(), evArrival, arg)
 		case evRepairDone:
 			res.CompletedRepairs++
-			if !unlimited {
-				freeCrews++
-				dispatch()
-			}
+			// With unlimited crews the queue is always empty here, so
+			// the dispatch is a no-op.
+			queue.Release()
+			dispatch()
 		}
 	})
 
-	// One self-rescheduling arrival stream per failure process, started
-	// in declaration order so event tie-breaking is deterministic.
-	for i := range states {
-		st := &states[i]
-		eng.ScheduleEvent(st.proc.Interarrival.Sample(st.arrivalRNG), evArrival, int32(i))
+	// Start the arrival streams in declaration order so event
+	// tie-breaking is deterministic.
+	for i := range arrivals {
+		eng.ScheduleEvent(arrivals[i].Next(), evArrival, int32(i))
 	}
 
 	eng.Run(cfg.HorizonHours)
@@ -482,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 	lost := down.total()
 	// Tasks still waiting for a crew at the horizon have no recorded
 	// interval yet; charge their elapsed downtime per affected node.
-	for _, task := range queue.pending() {
+	for _, task := range queue.waiting() {
 		lost += (cfg.HorizonHours - task.start) * float64(task.nodeCount)
 	}
 	res.NodeHoursLost = lost
@@ -498,29 +418,10 @@ func Run(cfg Config) (*Result, error) {
 		// Only categories that actually failed appear in the map,
 		// matching the incremental map writes of the old run loop.
 		if states[i].stats.Failures > 0 {
-			res.PerCategory[states[i].proc.Category] = states[i].stats
+			res.PerCategory[arrivals[i].Proc.Category] = states[i].stats
 		}
 	}
 	return res, nil
-}
-
-// PickVictims selects the nodes a failure of proc takes down as a
-// contiguous range of a fleet of nodes: one uniform node, or every node
-// of a uniform rack of perRack nodes for rack-scoped processes (the last
-// rack may be partial). It draws from rng exactly once; the fleet
-// simulator and the remediation loop share it.
-func PickVictims(proc *FailureProcess, nodes, perRack int, rng *rand.Rand) (first, count int32) {
-	if proc.Scope != ScopeRack {
-		return int32(rng.Intn(nodes)), 1
-	}
-	racks := (nodes + perRack - 1) / perRack
-	rack := rng.Intn(racks)
-	lo := rack * perRack
-	hi := lo + perRack
-	if hi > nodes {
-		hi = nodes
-	}
-	return int32(lo), int32(hi - lo)
 }
 
 // sampleNodesDown converts merged node-down span edges into a nodes-down

@@ -40,6 +40,7 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"no nodes", func(c *Config) { c.Nodes = 0 }},
 		{"zero horizon", func(c *Config) { c.HorizonHours = 0 }},
+		{"infinite horizon", func(c *Config) { c.HorizonHours = math.Inf(1) }},
 		{"no processes", func(c *Config) { c.Processes = nil }},
 		{"nil distribution", func(c *Config) { c.Processes[0].Repair = nil }},
 		{"duplicate category", func(c *Config) { c.Processes[1].Category = c.Processes[0].Category }},

@@ -87,10 +87,6 @@ type Engine struct {
 // Now returns the current simulation time in hours.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of queued events (events past the Run
-// horizon remain queued).
-func (e *Engine) Pending() int { return e.size }
-
 // SetHandler installs the typed-event dispatcher used by ScheduleEvent
 // kinds. One handler per engine replaces one closure per event.
 func (e *Engine) SetHandler(h func(kind, arg int32)) { e.handler = h }

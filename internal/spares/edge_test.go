@@ -131,7 +131,7 @@ func TestPredictiveCategoryMiss(t *testing.T) {
 	}
 	// The post-acquire top-up staged one part (floor of one even at rate
 	// zero): it arrives at t=80 and is free from then on.
-	if got := p.StockLevel(failures.CatLustre, 80); got != 1 {
+	if got := p.stockLevel(failures.CatLustre, 80); got != 1 {
 		t.Fatalf("pipeline floor staged %d parts, want 1", got)
 	}
 	if wait := p.Acquire(failures.CatLustre, 120); wait != 0 {
@@ -173,7 +173,7 @@ func TestPredictiveExhaustedPool(t *testing.T) {
 			t.Fatalf("burst acquisition %d waited %v, want 60", i, w)
 		}
 	}
-	if got := p.StockLevel(failures.CatGPU, 120); got != 1 {
+	if got := p.stockLevel(failures.CatGPU, 120); got != 1 {
 		t.Fatalf("position after burst = %d, want floor of 1", got)
 	}
 }

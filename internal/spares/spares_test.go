@@ -124,7 +124,7 @@ func TestPredictiveStagesStockForHotCategory(t *testing.T) {
 	if wait != 0 {
 		t.Errorf("warm predictive policy still waits %v h", wait)
 	}
-	if p.StockLevel(failures.CatGPU, now) == 0 {
+	if p.stockLevel(failures.CatGPU, now) == 0 {
 		t.Error("no staged stock after sustained failure stream")
 	}
 }
@@ -200,4 +200,11 @@ func TestPredictiveStagesForRareCategories(t *testing.T) {
 			t.Errorf("wait %d = %v, want 0 (part staged 500h earlier)", i+1, w)
 		}
 	}
+}
+
+// stockLevel reports the current shelf stock of a category.
+func (p *Predictive) stockLevel(cat failures.Category, now float64) int {
+	s := p.storeFor(cat)
+	s.sync(now)
+	return s.stock
 }

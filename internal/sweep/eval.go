@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cli"
 	"repro/internal/failures"
@@ -44,6 +45,9 @@ type Params struct {
 func (p Params) Validate() error {
 	if !(p.HorizonHours > 0) {
 		return fmt.Errorf("sweep: horizon must be positive, got %v", p.HorizonHours)
+	}
+	if math.IsInf(p.HorizonHours, 1) {
+		return fmt.Errorf("sweep: horizon must be finite, got %v", p.HorizonHours)
 	}
 	if p.Crews < 0 {
 		return fmt.Errorf("sweep: negative crew count %d", p.Crews)

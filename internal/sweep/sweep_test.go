@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,6 +85,22 @@ func TestGridValidate(t *testing.T) {
 	}
 	if err := testGrid().Validate(); err != nil {
 		t.Errorf("valid grid rejected: %v", err)
+	}
+}
+
+// TestParamsValidate pins the horizon checks: a zero, NaN or infinite
+// horizon is rejected up front (an infinite one never lets a cell
+// finish, so a sweep would ignore SIGTERM).
+func TestParamsValidate(t *testing.T) {
+	if err := testParams().Validate(); err != nil {
+		t.Fatalf("valid params rejected: %v", err)
+	}
+	for _, h := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		p := testParams()
+		p.HorizonHours = h
+		if err := p.Validate(); err == nil {
+			t.Errorf("horizon %v passed validation", h)
+		}
 	}
 }
 
