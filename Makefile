@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./...
 BENCH_OUT ?= BENCH_ci.json
 BENCH_TAGS ?=
 
-.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke perfbench-test profile-gen fuzz-smoke conform cover vet lint api-size ci clean
+.PHONY: build test race bench bench-baseline bench-check bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke perfbench-test profile-gen profile-study fuzz-smoke conform cover vet lint api-size ci clean
 
 ## build: compile every package and command
 build:
@@ -101,6 +101,15 @@ profile-gen:
 	$(GO) test -bench='^BenchmarkPerfGenerateEncode100k$$' -benchtime=20x -run='^$$' \
 		-cpuprofile PROFILE_gen_cpu.out -memprofile PROFILE_gen_mem.out .
 
+## profile-study: CPU and allocation pprof profiles of the cold 100k
+## analysis path — the battery over a fresh index plus the analyze
+## report (BenchmarkPerfAnalyzeReport100k). Inspect with
+## `go tool pprof PROFILE_study_cpu.out`; CI uploads both profiles next
+## to the generation profiles.
+profile-study:
+	$(GO) test -bench='^BenchmarkPerfAnalyzeReport100k$$' -benchtime=20x -run='^$$' \
+		-cpuprofile PROFILE_study_cpu.out -memprofile PROFILE_study_mem.out .
+
 ## fuzz-smoke: a minute of coverage-guided fuzzing on the trace
 ## parsers, 15 s per target. Go permits one -fuzz target per invocation,
 ## so the targets run back to back.
@@ -159,5 +168,5 @@ api-size:
 ci: build vet test race perfbench-test conform bench-smoke bench-smoke-selftest sweep-smoke serve-smoke convert-smoke remediate-smoke fuzz-smoke
 
 clean:
-	rm -f BENCH_ci.json BENCH_perf.txt PROFILE_gen_cpu.out PROFILE_gen_mem.out CONFORM_report.json COVER_profile.out repro.test
+	rm -f BENCH_ci.json BENCH_perf.txt PROFILE_gen_cpu.out PROFILE_gen_mem.out PROFILE_study_cpu.out PROFILE_study_mem.out CONFORM_report.json COVER_profile.out repro.test
 	rm -rf SWEEP_smoke.d REMEDIATE_smoke.d

@@ -100,6 +100,23 @@ func BenchmarkPerfIndexedStudy100k(b *testing.B) {
 	b.ReportMetric(float64(log.Len()), "records")
 }
 
+// BenchmarkPerfAnalyzeReport100k is the gate twin of the end-to-end
+// tsubame-analyze path minus decoding: the battery over a fresh index at
+// the CLI's default width, then the full analyze report rendered from the
+// study (the one-vs-rest recovery-time table included).
+func BenchmarkPerfAnalyzeReport100k(b *testing.B) {
+	log := perfLog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		study, err := core.Run(log, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		textreport.Analyze(io.Discard, study, log)
+	}
+}
+
 // BenchmarkPerfIndexBuild100k measures a cold index: one View built and
 // every facet the analysis battery touches forced exactly once. This is
 // the fixed cost the memoization amortizes across phases.

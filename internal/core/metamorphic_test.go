@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/failures"
@@ -41,4 +42,49 @@ func TestCompareInvariantUnderPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.RequireDeepEqual(t, base, permuted, "comparison after permutation")
+}
+
+// TestTTRSignificanceInvariantUnderScaling is the metamorphic relation of
+// a rank test: a strictly increasing map of the data changes no rank, so
+// doubling every recovery time (which keeps every tie) must leave each
+// row's category, count, p-value and position bit-identical, while both
+// means double.
+func TestTTRSignificanceInvariantUnderScaling(t *testing.T) {
+	for _, sys := range []failures.System{failures.Tsubame2, failures.Tsubame3} {
+		log := testutil.MustGenerate(t, sys, 7)
+		records := log.Records()
+		for i := range records {
+			records[i].Recovery *= 2
+		}
+		doubled, err := failures.NewLog(sys, records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := NewStudy(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled, err := NewStudy(doubled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := base.TTRSignificance, scaled.TTRSignificance
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%v: %d rows after doubling, %d before", sys, len(got), len(want))
+		}
+		doubledMean := func(got, base float64) bool {
+			return math.Abs(got-2*base) <= 1e-12*2*base
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Category != w.Category || g.N != w.N || math.Float64bits(g.P) != math.Float64bits(w.P) {
+				t.Errorf("%v row %d: %s n=%d p=%v after doubling, %s n=%d p=%v before",
+					sys, i, g.Category, g.N, g.P, w.Category, w.N, w.P)
+			}
+			if !doubledMean(g.MeanHours, w.MeanHours) || !doubledMean(g.RestMeanHours, w.RestMeanHours) {
+				t.Errorf("%v row %d: means %v/%v after doubling, %v/%v before",
+					sys, i, g.MeanHours, g.RestMeanHours, w.MeanHours, w.RestMeanHours)
+			}
+		}
+	}
 }

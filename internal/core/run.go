@@ -165,6 +165,12 @@ func RunView(ix *index.View, opts Options) (*Study, error) {
 			}
 			return nil
 		}},
+		{"ttr-significance", func(context.Context) error {
+			if rows, err := ttrSignificanceByCategory(ix, minTTRSignificance); err == nil {
+				s.TTRSignificance = rows
+			}
+			return nil
+		}},
 	}
 	tasks := make([]func(context.Context) error, len(phases))
 	for i, a := range phases {

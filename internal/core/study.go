@@ -38,6 +38,10 @@ type Study struct {
 	// log lacks the required attribution).
 	Spatial  *SpatialResult     // rack/node failure concentration
 	Survival *GPUSurvivalResult // per-card Kaplan-Meier survival
+	// TTRSignificance holds the one-vs-rest recovery-time tests behind
+	// Figure 10's "varies significantly across failure types"; nil when
+	// no category has minTTRSignificance records and a nonempty rest.
+	TTRSignificance []TTRSignificance
 }
 
 // Per-category thresholds and windows; the values match the paper's
@@ -52,6 +56,9 @@ const (
 	// multiGPUWindowHours is the proximity window of the Figure 8
 	// clustering metric.
 	multiGPUWindowHours = 72
+	// minTTRSignificance is the minimum failures a category needs for
+	// its one-vs-rest recovery-time test.
+	minTTRSignificance = 10
 )
 
 // NewStudy runs the full analysis battery on one log, sequentially. It is

@@ -109,11 +109,17 @@ type TTRSignificance struct {
 }
 
 // TTRSignificanceByCategory runs a one-vs-rest Mann-Whitney test for each
-// category with at least minCount records, sorted by ascending p-value.
+// category with at least minCount records, sorted by ascending p-value. A
+// Study carries the same rows for minCount 10 in its TTRSignificance
+// field; this entry point indexes log afresh.
 func TTRSignificanceByCategory(log *failures.Log, minCount int) ([]TTRSignificance, error) {
 	return ttrSignificanceByCategory(index.New(log), minCount)
 }
 
+// ttrSignificanceByCategory ranks the log once: every category and its
+// rest make up the whole log, so stats.MannWhitneyOneVsRest takes each
+// value's mid-rank and the tie sum from the shared sorted recovery arena
+// and each category's rank sum from its sorted arena.
 func ttrSignificanceByCategory(ix *index.View, minCount int) ([]TTRSignificance, error) {
 	if ix.Len() == 0 {
 		return nil, ErrEmptyLog
@@ -121,36 +127,31 @@ func ttrSignificanceByCategory(ix *index.View, minCount int) ([]TTRSignificance,
 	if minCount < 2 {
 		minCount = 2
 	}
-	var out []TTRSignificance
-	counts := ix.CategoryCounts()
-	for cat, n := range counts {
-		if n < minCount {
-			continue
+	var cats []failures.Category
+	var groups [][]float64
+	for cat, n := range ix.CategoryCounts() {
+		if n >= minCount && n < ix.Len() {
+			cats = append(cats, cat)
+			groups = append(groups, ix.SortedCategoryRecovery(cat))
 		}
-		hours := ix.CategoryRecovery(cat)
-		var rest []float64
-		for other := range counts {
-			if other != cat {
-				rest = append(rest, ix.CategoryRecovery(other)...)
-			}
-		}
-		if len(rest) == 0 {
-			continue
-		}
-		mw, err := stats.MannWhitney(hours, rest)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TTRSignificance{
-			Category:      cat,
-			N:             len(hours),
-			MeanHours:     stats.Mean(hours),
-			RestMeanHours: stats.Mean(rest),
-			P:             mw.P,
-		})
 	}
-	if len(out) == 0 {
+	if len(cats) == 0 {
 		return nil, ErrEmptyLog
+	}
+	tests, err := stats.MannWhitneyOneVsRest(ix.SortedRecoveryHours(), groups)
+	if err != nil {
+		return nil, err
+	}
+	restMeans := restMeanRecovery(ix, cats)
+	out := make([]TTRSignificance, len(cats))
+	for i, cat := range cats {
+		out[i] = TTRSignificance{
+			Category:      cat,
+			N:             len(groups[i]),
+			MeanHours:     stats.Mean(ix.CategoryRecovery(cat)),
+			RestMeanHours: restMeans[i],
+			P:             tests[i].P,
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].P != out[j].P {
@@ -159,4 +160,38 @@ func ttrSignificanceByCategory(ix *index.View, minCount int) ([]TTRSignificance,
 		return out[i].Category < out[j].Category
 	})
 	return out, nil
+}
+
+// restMeanRecovery returns, for each of cats, the mean recovery of every
+// record outside that category. One chronological pass feeds a Kahan sum
+// per category, so each mean adds the same values in the same order as
+// stats.Mean over the materialized rest would.
+func restMeanRecovery(ix *index.View, cats []failures.Category) []float64 {
+	slot := make(map[failures.Category]int, len(cats))
+	for i, cat := range cats {
+		slot[cat] = i
+	}
+	sum := make([]float64, len(cats))
+	comp := make([]float64, len(cats))
+	records := ix.Records()
+	for k, h := range ix.RecoveryHours() {
+		own, ok := slot[records[k].Category]
+		if !ok {
+			own = -1
+		}
+		for i := range sum {
+			if i == own {
+				continue
+			}
+			y := h - comp[i]
+			t := sum[i] + y
+			comp[i] = (t - sum[i]) - y
+			sum[i] = t
+		}
+	}
+	means := make([]float64, len(cats))
+	for i, cat := range cats {
+		means[i] = sum[i] / float64(ix.Len()-ix.CategoryCounts()[cat])
+	}
+	return means
 }

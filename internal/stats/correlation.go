@@ -47,6 +47,14 @@ func Spearman(xs, ys []float64) (float64, error) {
 // Ranks returns the 1-based mid-ranks of xs: tied observations all receive
 // the average of the ranks they span.
 func Ranks(xs []float64) []float64 {
+	ranks, _ := midRanks(xs)
+	return ranks
+}
+
+// midRanks is Ranks plus the tie sum Σ(t³−t) over the tie groups of xs,
+// both taken from one sort. Tie groups are visited in ascending value
+// order, the order the Mann-Whitney variance correction accumulates in.
+func midRanks(xs []float64) (ranks []float64, tieSum float64) {
 	n := len(xs)
 	idx := make([]int, n)
 	for i := range idx {
@@ -54,7 +62,7 @@ func Ranks(xs []float64) []float64 {
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
 
-	ranks := make([]float64, n)
+	ranks = make([]float64, n)
 	for i := 0; i < n; {
 		j := i
 		for j < n && xs[idx[j]] == xs[idx[i]] {
@@ -66,9 +74,16 @@ func Ranks(xs []float64) []float64 {
 		for k := i; k < j; k++ {
 			ranks[idx[k]] = mid
 		}
+		tieSum += tieTerm(j - i)
 		i = j
 	}
-	return ranks
+	return ranks, tieSum
+}
+
+// tieTerm is one tie group's t³−t contribution to the tie sum.
+func tieTerm(size int) float64 {
+	t := float64(size)
+	return t*t*t - t
 }
 
 // AutoCorrelation returns the lag-k sample autocorrelation of xs. It is

@@ -23,39 +23,90 @@ func MannWhitney(xs, ys []float64) (MannWhitneyResult, error) {
 	if len(xs) == 0 || len(ys) == 0 {
 		return MannWhitneyResult{}, ErrEmpty
 	}
-	n1, n2 := float64(len(xs)), float64(len(ys))
 	combined := make([]float64, 0, len(xs)+len(ys))
 	combined = append(combined, xs...)
 	combined = append(combined, ys...)
-	ranks := Ranks(combined)
+	ranks, tieSum := midRanks(combined)
 
 	var r1 float64
 	for i := range xs {
 		r1 += ranks[i]
 	}
-	u1 := r1 - n1*(n1+1)/2
+	return mannWhitneyNormal(r1, float64(len(xs)), float64(len(ys)), tieSum), nil
+}
 
-	// Tie correction for the variance.
-	sorted := append([]float64(nil), combined...)
-	sort.Float64s(sorted)
+// MannWhitneyOneVsRest runs the MannWhitney test of each group against
+// the rest of a pooled sample, ranking the pool once instead of once per
+// group. pool is the whole sample in ascending order; each group is an
+// ascending sub-multiset of it, tested against pool minus the group.
+// Because a group and its rest always make up the pool, a value's
+// mid-rank and the tie sum are the same for every group, so one merge
+// walk of the group against the pool yields its rank sum. Each result is
+// bit-identical to MannWhitney(group, rest): the tie groups are visited
+// in the same ascending order, and a rank sum is a sum of half-integers,
+// exact in float64 (so independent of summation order) while
+// len(pool)*(len(pool)+1) stays below 2^53.
+//
+// It returns ErrEmpty when a group or its rest is empty, and ErrMismatch
+// when a group is not an ascending sub-multiset of the pool.
+func MannWhitneyOneVsRest(pool []float64, groups [][]float64) ([]MannWhitneyResult, error) {
+	n := len(pool)
 	var tieSum float64
-	n := len(sorted)
 	for i := 0; i < n; {
-		j := i
-		for j < n && sorted[j] == sorted[i] {
+		j := i + 1
+		for j < n && pool[j] == pool[i] {
 			j++
 		}
-		t := float64(j - i)
-		tieSum += t*t*t - t
+		tieSum += tieTerm(j - i)
 		i = j
 	}
+	out := make([]MannWhitneyResult, len(groups))
+	for g, xs := range groups {
+		if len(xs) == 0 || len(xs) == n {
+			return nil, ErrEmpty
+		}
+		// twiceR1 is twice the rank sum: every mid-rank (lo+1+hi)/2 is a
+		// half-integer, so the doubled sum is an exact integer.
+		var twiceR1 int64
+		lo := 0
+		for i := 0; i < len(xs); {
+			x := xs[i]
+			c := i + 1
+			for c < len(xs) && xs[c] == x {
+				c++
+			}
+			// [lo, hi) is x's tie group in the pool.
+			for lo < n && pool[lo] < x {
+				lo++
+			}
+			hi := lo
+			for hi < n && pool[hi] == x {
+				hi++
+			}
+			if hi-lo < c-i {
+				return nil, ErrMismatch
+			}
+			twiceR1 += int64(c-i) * int64(lo+1+hi)
+			lo, i = hi, c
+		}
+		out[g] = mannWhitneyNormal(float64(twiceR1)/2, float64(len(xs)), float64(n-len(xs)), tieSum)
+	}
+	return out, nil
+}
+
+// mannWhitneyNormal is the normal approximation behind both Mann-Whitney
+// entry points: U from the first sample's rank sum r1, the tie-corrected
+// variance, a continuity correction toward the mean, and the two-sided
+// p-value.
+func mannWhitneyNormal(r1, n1, n2, tieSum float64) MannWhitneyResult {
+	u1 := r1 - n1*(n1+1)/2
 	nn := n1 + n2
 	variance := n1 * n2 / 12 * ((nn + 1) - tieSum/(nn*(nn-1)))
 	res := MannWhitneyResult{U: u1}
 	if variance <= 0 {
 		// All observations tied: no evidence of difference.
 		res.P = 1
-		return res, nil
+		return res
 	}
 	mean := n1 * n2 / 2
 	// Continuity correction toward the mean.
@@ -73,7 +124,7 @@ func MannWhitney(xs, ys []float64) (MannWhitneyResult, error) {
 	if res.P > 1 {
 		res.P = 1
 	}
-	return res, nil
+	return res
 }
 
 // normalSurvival returns P(Z > z) for a standard normal.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -69,6 +70,144 @@ func TestMannWhitneyAllTied(t *testing.T) {
 func TestMannWhitneyEmpty(t *testing.T) {
 	if _, err := MannWhitney(nil, []float64{1}); err != ErrEmpty {
 		t.Errorf("error = %v, want ErrEmpty", err)
+	}
+}
+
+// twoSortMannWhitney is MannWhitney as it stood before the tie sum came
+// from the ranking pass: a second sorted copy of the pooled sample is
+// grouped for the variance correction, and the normal approximation is
+// written out inline. It is the reference that pins the
+// single-sort implementation bit for bit.
+func twoSortMannWhitney(xs, ys []float64) MannWhitneyResult {
+	combined := append(append([]float64(nil), xs...), ys...)
+	ranks := Ranks(combined)
+	var r1 float64
+	for i := range xs {
+		r1 += ranks[i]
+	}
+	sorted := append([]float64(nil), combined...)
+	sort.Float64s(sorted)
+	var tieSum float64
+	for i := 0; i < len(sorted); {
+		j := i
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		t := float64(j - i)
+		tieSum += t*t*t - t
+		i = j
+	}
+	n1, n2 := float64(len(xs)), float64(len(ys))
+	u1 := r1 - n1*(n1+1)/2
+	nn := n1 + n2
+	variance := n1 * n2 / 12 * ((nn + 1) - tieSum/(nn*(nn-1)))
+	res := MannWhitneyResult{U: u1}
+	if variance <= 0 {
+		res.P = 1
+		return res
+	}
+	diff := u1 - n1*n2/2
+	switch {
+	case diff > 0.5:
+		diff -= 0.5
+	case diff < -0.5:
+		diff += 0.5
+	default:
+		diff = 0
+	}
+	res.Z = diff / math.Sqrt(variance)
+	res.P = math.Min(2*normalSurvival(math.Abs(res.Z)), 1)
+	return res
+}
+
+// tieHeavySample draws n values from a grid of only levels distinct
+// values, so nearly every observation sits in a large tie group.
+func tieHeavySample(rng *rand.Rand, n, levels int, shift float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(levels))*0.5 + shift
+	}
+	return xs
+}
+
+func TestMannWhitneyTieHeavyMatchesTwoSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		xs := tieHeavySample(rng, 1+rng.Intn(400), 1+rng.Intn(12), 0)
+		ys := tieHeavySample(rng, 1+rng.Intn(400), 1+rng.Intn(12), float64(rng.Intn(3))*0.5)
+		got, err := MannWhitney(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := twoSortMannWhitney(xs, ys); got != want {
+			t.Fatalf("trial %d: MannWhitney = %+v, two-sort reference = %+v", trial, got, want)
+		}
+	}
+}
+
+func TestMannWhitneyOneVsRestMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		// Split a tie-heavy pool into groups, each tested against the
+		// concatenation of all the others.
+		k := 2 + rng.Intn(5)
+		groups := make([][]float64, k)
+		for g := range groups {
+			groups[g] = tieHeavySample(rng, 1+rng.Intn(200), 2+rng.Intn(20), float64(g%3)*0.5)
+		}
+		// The one-vs-rest path takes sorted groups; the pairwise tests
+		// keep the draw order, so the comparison also pins the rank sum's
+		// independence of summation order.
+		var pool []float64
+		sortedGroups := make([][]float64, k)
+		for g, xs := range groups {
+			pool = append(pool, xs...)
+			sortedGroups[g] = append([]float64(nil), xs...)
+			sort.Float64s(sortedGroups[g])
+		}
+		sort.Float64s(pool)
+		got, err := MannWhitneyOneVsRest(pool, sortedGroups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, xs := range groups {
+			var rest []float64
+			for other, ys := range groups {
+				if other != g {
+					rest = append(rest, ys...)
+				}
+			}
+			want, err := MannWhitney(xs, rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[g] != want {
+				t.Fatalf("trial %d group %d: one-vs-rest %+v, pairwise %+v", trial, g, got[g], want)
+			}
+		}
+	}
+}
+
+func TestMannWhitneyOneVsRestErrors(t *testing.T) {
+	pool := []float64{1, 2, 2, 3}
+	for _, c := range []struct {
+		name   string
+		pool   []float64
+		groups [][]float64
+		want   error
+	}{
+		{"empty group", pool, [][]float64{{}}, ErrEmpty},
+		{"empty rest", pool, [][]float64{{1, 2, 2, 3}}, ErrEmpty},
+		{"empty pool", nil, [][]float64{{1}}, ErrMismatch},
+		{"group larger than the pool", pool, [][]float64{{1, 2, 2, 3, 3}}, ErrMismatch},
+		{"value absent from pool", pool, [][]float64{{2.5}}, ErrMismatch},
+		{"value above the pool", pool, [][]float64{{4}}, ErrMismatch},
+		{"more copies than the pool", pool, [][]float64{{2, 2, 2}}, ErrMismatch},
+		{"unsorted group", pool, [][]float64{{3, 1}}, ErrMismatch},
+	} {
+		if _, err := MannWhitneyOneVsRest(c.pool, c.groups); err != c.want {
+			t.Errorf("%s: error = %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 

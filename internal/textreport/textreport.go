@@ -57,9 +57,9 @@ func Analyze(w io.Writer, study *core.Study, log *failures.Log) {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, report.RollingChart("Rolling 90-day MTBF.", series))
 	}
-	if rows, err := core.TTRSignificanceByCategory(log, 10); err == nil {
+	if len(study.TTRSignificance) > 0 {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, report.SignificanceTable(study.System.String(), rows))
+		fmt.Fprint(w, report.SignificanceTable(study.System.String(), study.TTRSignificance))
 	}
 }
 
