@@ -122,6 +122,7 @@ func BenchmarkPerfAnalyzeReport100k(b *testing.B) {
 // the fixed cost the memoization amortizes across phases.
 func BenchmarkPerfIndexBuild100k(b *testing.B) {
 	log := perfLog(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix := index.New(log)

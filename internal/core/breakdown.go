@@ -64,7 +64,9 @@ type CauseShare struct {
 func SoftwareCauses(ix *index.View, k int) ([]CauseShare, error) {
 	counts := make(map[failures.SoftwareCause]int)
 	total := 0
-	for _, r := range ix.Records() {
+	recs := ix.Records()
+	for i := range recs {
+		r := &recs[i]
 		if r.SoftwareCause == "" {
 			continue
 		}

@@ -21,7 +21,9 @@ func MultiGPUInvolvement(ix *index.View) ([]InvolvementRow, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots+1)
 	total := 0
-	for _, r := range ix.Records() {
+	recs := ix.Records()
+	for i := range recs {
+		r := &recs[i]
 		if r.Category != failures.CatGPU || len(r.GPUs) == 0 {
 			continue
 		}

@@ -75,7 +75,9 @@ func MultiFailureNodeSplit(ix *index.View) (MultiNodeSplit, error) {
 		return MultiNodeSplit{}, ErrEmptyLog
 	}
 	var out MultiNodeSplit
-	for _, r := range ix.Records() {
+	recs := ix.Records()
+	for i := range recs {
+		r := &recs[i]
 		if r.Node == "" || perNode[r.Node] < 2 {
 			continue
 		}
@@ -104,8 +106,9 @@ func GPUSlotDistribution(ix *index.View) ([]SlotShare, error) {
 	slots := failures.GPUsPerNode(ix.System())
 	counts := make([]int, slots)
 	total := 0
-	for _, r := range ix.Records() {
-		for _, g := range r.GPUs {
+	recs := ix.Records()
+	for i := range recs {
+		for _, g := range recs[i].GPUs {
 			if g >= 0 && g < slots {
 				counts[g]++
 				total++

@@ -55,7 +55,9 @@ func GPUSurvival(ix *index.View) (*GPUSurvivalResult, error) {
 		slot int
 	}
 	firstFailure := make(map[cardKey]float64)
-	for _, r := range ix.Records() {
+	recs := ix.Records()
+	for i := range recs {
+		r := &recs[i]
 		if len(r.GPUs) == 0 || r.Node == "" {
 			continue
 		}

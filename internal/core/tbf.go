@@ -129,8 +129,8 @@ func CategoryMTBF(ix *index.View, cat failures.Category) (float64, bool) {
 func GPUCardIncidentMTBF(ix *index.View) (float64, bool) {
 	records := ix.GPURecords()
 	var incidents int
-	for _, r := range records {
-		n := len(r.GPUs)
+	for i := range records {
+		n := len(records[i].GPUs)
 		if n == 0 {
 			n = 1
 		}

@@ -35,7 +35,9 @@ type MultiGPUTemporalResult struct {
 // given proximity window (hours).
 func MultiGPUTemporal(ix *index.View, windowHours float64) (*MultiGPUTemporalResult, error) {
 	var times []time.Time
-	for _, r := range ix.Records() {
+	recs := ix.Records()
+	for i := range recs {
+		r := &recs[i]
 		if r.MultiGPU() {
 			times = append(times, r.Time)
 		}

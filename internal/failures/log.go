@@ -164,6 +164,19 @@ func (l *Log) Records() []Failure {
 	return append([]Failure(nil), l.records...)
 }
 
+// Shared returns the log's own chronologically ordered records without a
+// copy; nil for an empty log, like Records. Callers must not mutate the
+// slice or its elements: the log, and every log sharing its backing
+// array, reads the same memory. The capacity is clipped to the length,
+// so an append by the caller copies instead of overwriting records a
+// later log in an AppendSorted lineage holds.
+func (l *Log) Shared() []Failure {
+	if len(l.records) == 0 {
+		return nil
+	}
+	return l.records[:len(l.records):len(l.records)]
+}
+
 // At returns record i in chronological order.
 func (l *Log) At(i int) Failure { return l.records[i] }
 

@@ -82,6 +82,49 @@ func TestNewLogSortsAndCopies(t *testing.T) {
 	}
 }
 
+// TestLogShared pins Shared's contract: the log's records in order
+// without a copy, nil for an empty log, and a capacity clipped to the
+// length so a caller's append cannot overwrite records a later log in
+// an AppendSorted lineage holds.
+func TestLogShared(t *testing.T) {
+	empty, err := NewLog(Tsubame2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Shared() != nil {
+		t.Error("Shared of an empty log is not nil")
+	}
+	log, err := NewLog(Tsubame2, []Failure{
+		{ID: 1, System: Tsubame2, Time: ts(0), Category: CatCPU},
+		{ID: 2, System: Tsubame2, Time: ts(5), Category: CatDisk},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := log.Shared()
+	if len(shared) != 2 || shared[0].ID != 1 || shared[1].ID != 2 {
+		t.Fatalf("Shared = %+v, want the log's records in order", shared)
+	}
+	if &shared[0] != &log.Shared()[0] {
+		t.Error("Shared copied the records")
+	}
+	if cap(shared) != len(shared) {
+		t.Errorf("Shared capacity %d exceeds its length %d", cap(shared), len(shared))
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = log.Shared() }); n != 0 {
+		t.Errorf("Shared allocates %v times per call, want 0", n)
+	}
+	// A tail AppendSorted may extend the backing array in place; the
+	// earlier log's shared view must still end at its own length.
+	next, atTail, err := log.AppendSorted([]Failure{{ID: 3, System: Tsubame2, Time: ts(9), Category: CatGPU, GPUs: []int{0}}})
+	if err != nil || !atTail {
+		t.Fatalf("AppendSorted: atTail=%v err=%v", atTail, err)
+	}
+	if len(log.Shared()) != 2 || len(next.Shared()) != 3 || next.Shared()[2].ID != 3 {
+		t.Error("Shared does not follow each log's own length")
+	}
+}
+
 func TestLogWindowAndSpan(t *testing.T) {
 	log := makeLog(t)
 	start, end, ok := log.Window()

@@ -100,7 +100,7 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 		next.nodesOnce.Do(func() { next.nodeCounts, next.nodes = counts, nodes })
 	}
 	if prev.sortedRecoveryOnce.Done() {
-		merged := mergeSortedFloats(prev.sortedRecovery, sortedCopy(recoveryHours(delta)))
+		merged := mergeSortedFloats(prev.sortedRecovery, sortedCopy(recoveryHours(delta), nil))
 		next.sortedRecoveryOnce.Do(func() { next.sortedRecovery = merged })
 	}
 	if prev.hwswSortedOnce.Done() {
@@ -112,8 +112,8 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 				hw = append(hw, delta[i].Recovery.Hours())
 			}
 		}
-		hwMerged := mergeSortedFloats(prev.hwRecoverySorted, sortedCopy(hw))
-		swMerged := mergeSortedFloats(prev.swRecoverySorted, sortedCopy(sw))
+		hwMerged := mergeSortedFloats(prev.hwRecoverySorted, sortedCopy(hw, nil))
+		swMerged := mergeSortedFloats(prev.swRecoverySorted, sortedCopy(sw, nil))
 		next.hwswSortedOnce.Do(func() { next.hwRecoverySorted, next.swRecoverySorted = hwMerged, swMerged })
 	}
 
@@ -125,10 +125,6 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 		return next
 	}
 
-	if prev.recordsOnce.Done() {
-		records := append(prev.records, delta...)
-		next.recordsOnce.Do(func() { next.records = records })
-	}
 	if prev.gapsOnce.Done() {
 		var prevTail []failures.Failure
 		if prevN > 0 {
@@ -141,7 +137,7 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 		}
 		next.gapsOnce.Do(func() { next.gaps = gaps })
 		if prev.sortedGapsOnce.Done() {
-			merged := mergeSortedFloats(prev.sortedGaps, sortedCopy(fresh))
+			merged := mergeSortedFloats(prev.sortedGaps, sortedCopy(fresh, nil))
 			next.sortedGapsOnce.Do(func() { next.sortedGaps = merged })
 		}
 	}
@@ -152,63 +148,47 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 		}
 		next.recoveryOnce.Do(func() { next.recovery = recovery })
 	}
-	// Snapshot the partition flag once: the catSeries carry below reads
-	// prev.catRecords (owned by partitionOnce, and materialized by
-	// buildCategorySeries as a prerequisite), so it must run only when
-	// the partition carry above it ran too. Checking Done() twice races
-	// with a concurrent reader completing buildCategorySeries between the
-	// checks, which would hand the next epoch carried catSeries but nil
-	// catRecords — and the append after that would bridge per-category
-	// gaps against nil, silently dropping gap samples.
-	partitionDone := prev.partitionOnce.Done()
-	if partitionDone {
-		byCat := make(map[failures.Category][]failures.Failure, len(prev.catRecords)+1)
-		for cat, recs := range prev.catRecords {
-			byCat[cat] = recs
-		}
+	if prev.partitionOnce.Done() {
 		gpu := prev.gpuRecords
 		for i := range delta {
-			cat := delta[i].Category
-			byCat[cat] = append(byCat[cat], delta[i])
-			if cat.GPURelated() {
+			if delta[i].Category.GPURelated() {
 				gpu = append(gpu, delta[i])
 			}
 		}
-		next.partitionOnce.Do(func() { next.catRecords, next.gpuRecords = byCat, gpu })
+		next.partitionOnce.Do(func() { next.gpuRecords = gpu })
 	}
-	if partitionDone && prev.catSeriesOnce.Done() {
-		// prev.catRecords feeds the per-category bridges; the partitionDone
-		// snapshot guarantees it was carried into next alongside catSeries.
-		deltaByCat := make(map[failures.Category][]failures.Failure)
-		for i := range delta {
-			deltaByCat[delta[i].Category] = append(deltaByCat[delta[i].Category], delta[i])
-		}
+	if prev.catSeriesOnce.Done() {
+		// Each category's gaps bridge against its carried last occurrence,
+		// so the carry reads only the delta: O(batch + categories).
 		gapsM := make(map[failures.Category][]float64, len(prev.catGaps)+1)
 		recovM := make(map[failures.Category][]float64, len(prev.catRecovery)+1)
+		lastM := make(map[failures.Category]time.Time, len(prev.catLast)+1)
 		for cat, xs := range prev.catGaps {
 			gapsM[cat] = xs
 		}
 		for cat, xs := range prev.catRecovery {
 			recovM[cat] = xs
 		}
-		freshByCat := make(map[failures.Category][]float64, len(deltaByCat))
-		for cat, dcat := range deltaByCat {
-			fresh := bridgeGaps(prev.catRecords[cat], dcat)
-			freshByCat[cat] = fresh
-			if len(fresh) > 0 {
-				gapsM[cat] = append(gapsM[cat], fresh...)
-			} else if _, ok := gapsM[cat]; !ok {
-				// Single-record new category: present in the batch build's
-				// maps with a nil series.
-				gapsM[cat] = nil
-			}
-			recov := recovM[cat]
-			for i := range dcat {
-				recov = append(recov, dcat[i].Recovery.Hours())
-			}
-			recovM[cat] = recov
+		for cat, t := range prev.catLast {
+			lastM[cat] = t
 		}
-		next.catSeriesOnce.Do(func() { next.catGaps, next.catRecovery = gapsM, recovM })
+		freshGaps := make(map[failures.Category][]float64)
+		freshRecov := make(map[failures.Category][]float64)
+		for i := range delta {
+			r := &delta[i]
+			if last, ok := lastM[r.Category]; ok {
+				g := r.Time.Sub(last).Hours()
+				gapsM[r.Category] = append(gapsM[r.Category], g)
+				freshGaps[r.Category] = append(freshGaps[r.Category], g)
+			}
+			lastM[r.Category] = r.Time
+			h := r.Recovery.Hours()
+			recovM[r.Category] = append(recovM[r.Category], h)
+			freshRecov[r.Category] = append(freshRecov[r.Category], h)
+		}
+		next.catSeriesOnce.Do(func() { next.catGaps, next.catRecovery, next.catLast = gapsM, recovM, lastM })
+		// Built after catSeries, so Done here implies the series read above
+		// belong to the same materialization.
 		if prev.catSortedOnce.Done() {
 			gapsS := make(map[failures.Category][]float64, len(prev.catGapsSorted)+1)
 			recovS := make(map[failures.Category][]float64, len(prev.catRecoverySorted)+1)
@@ -218,13 +198,11 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 			for cat, xs := range prev.catRecoverySorted {
 				recovS[cat] = xs
 			}
-			for cat, dcat := range deltaByCat {
-				if fresh := freshByCat[cat]; len(fresh) > 0 {
-					gapsS[cat] = mergeSortedFloats(gapsS[cat], sortedCopy(fresh))
-				} else if _, ok := gapsS[cat]; !ok {
-					gapsS[cat] = nil
-				}
-				recovS[cat] = mergeSortedFloats(recovS[cat], sortedCopy(recoveryHours(dcat)))
+			for cat, fresh := range freshGaps {
+				gapsS[cat] = mergeSortedFloats(gapsS[cat], sortedCopy(fresh, nil))
+			}
+			for cat, fresh := range freshRecov {
+				recovS[cat] = mergeSortedFloats(recovS[cat], sortedCopy(fresh, nil))
 			}
 			next.catSortedOnce.Do(func() { next.catGapsSorted, next.catRecoverySorted = gapsS, recovS })
 		}
@@ -246,7 +224,7 @@ func nextView(prev *View, log *failures.Log, delta []failures.Failure, atTail bo
 				continue
 			}
 			recov[m] = append(recov[m], perMonth[m]...)
-			sorted[m] = mergeSortedFloats(sorted[m], sortedCopy(perMonth[m]))
+			sorted[m] = mergeSortedFloats(sorted[m], sortedCopy(perMonth[m], nil))
 			counts[m] += len(perMonth[m])
 		}
 		next.monthlyOnce.Do(func() {

@@ -11,13 +11,14 @@
 // per call. On a 100k-record log that redundancy dominates the battery's
 // wall clock. The index computes each of these facets exactly once:
 //
-//   - one shared chronological record slice (no per-phase clone),
-//   - per-category and per-month partitions in one pass each,
+//   - the log's own chronological record slice, shared without a copy,
+//   - per-category and per-month series in one pass each,
 //   - the inter-arrival and recovery series in log order (so means keep
 //     their historical accumulation order bit-for-bit), and
 //   - sorted-sample arenas for every series, feeding the sorted-path
 //     stats APIs (QuantilesSorted, SummarizeSorted, NewECDFSorted) so
-//     the hot path sorts each sample at most once.
+//     the hot path sorts each sample at most once, by a radix kernel
+//     bit-identical to sort.Float64s (sortfloats.go).
 //
 // Concurrency: every facet is guarded by its own facetOnce (a sync.Once
 // whose completion is observable — delta.go), so phases fanned out by
@@ -46,9 +47,6 @@ import (
 type View struct {
 	log *failures.Log
 
-	recordsOnce facetOnce
-	records     []failures.Failure
-
 	catCountsOnce facetOnce
 	catCounts     map[failures.Category]int
 
@@ -57,7 +55,6 @@ type View struct {
 	nodes      []string
 
 	partitionOnce facetOnce
-	catRecords    map[failures.Category][]failures.Failure
 	gpuRecords    []failures.Failure
 
 	gapsOnce facetOnce
@@ -75,6 +72,7 @@ type View struct {
 	catSeriesOnce facetOnce
 	catGaps       map[failures.Category][]float64
 	catRecovery   map[failures.Category][]float64
+	catLast       map[failures.Category]time.Time // each category's last occurrence, for delta bridging
 
 	catSortedOnce     facetOnce
 	catGapsSorted     map[failures.Category][]float64
@@ -113,16 +111,10 @@ func (v *View) Window() (start, end time.Time, ok bool) { return v.log.Window() 
 // Span returns the duration between the first and last failure.
 func (v *View) Span() time.Duration { return v.log.Span() }
 
-// Records returns the chronologically ordered records. Unlike
-// failures.Log.Records, the slice is built once and shared: callers must
-// not mutate it.
-func (v *View) Records() []failures.Failure {
-	v.recordsOnce.Do(func() {
-		defer obs.StartSpan("index/records").End()
-		v.records = v.log.Records()
-	})
-	return v.records
-}
+// Records returns the chronologically ordered records: the log's own
+// slice (failures.Log.Shared), so the call neither copies nor allocates.
+// Callers must not mutate it.
+func (v *View) Records() []failures.Failure { return v.log.Shared() }
 
 // CategoryCounts returns record counts per category (shared map,
 // read-only).
@@ -172,49 +164,33 @@ func (v *View) buildNodes() {
 	})
 }
 
-// CategoryRecords returns the chronological records of one category
-// (shared slice, read-only; nil for an absent category).
-func (v *View) CategoryRecords(cat failures.Category) []failures.Failure {
-	v.buildPartitions()
-	return v.catRecords[cat]
-}
-
-// GPURecords returns the chronological sub-slice of records whose
-// category involves GPU cards — the memoized form of
-// failures.Log.GPUFailures (shared, read-only).
+// GPURecords returns the chronological records whose category involves
+// GPU cards — the memoized form of failures.Log.GPUFailures (shared,
+// read-only).
 func (v *View) GPURecords() []failures.Failure {
-	v.buildPartitions()
-	return v.gpuRecords
-}
-
-func (v *View) buildPartitions() {
 	v.partitionOnce.Do(func() {
 		defer obs.StartSpan("index/partitions").End()
 		records := v.Records()
-		counts := v.CategoryCounts()
-		// Exact-capacity partitions: one allocation per category instead of
+		// Exact capacity from the category counts: one allocation instead of
 		// an append growth ladder over 128-byte record structs.
-		byCat := make(map[failures.Category][]failures.Failure, len(counts))
 		gpuTotal := 0
-		for cat, n := range counts {
-			byCat[cat] = make([]failures.Failure, 0, n)
+		for cat, n := range v.CategoryCounts() {
 			if cat.GPURelated() {
 				gpuTotal += n
 			}
 		}
-		var gpu []failures.Failure
-		if gpuTotal > 0 {
-			gpu = make([]failures.Failure, 0, gpuTotal)
+		if gpuTotal == 0 {
+			return
 		}
+		gpu := make([]failures.Failure, 0, gpuTotal)
 		for i := range records {
-			cat := records[i].Category
-			byCat[cat] = append(byCat[cat], records[i])
-			if cat.GPURelated() {
+			if records[i].Category.GPURelated() {
 				gpu = append(gpu, records[i])
 			}
 		}
-		v.catRecords, v.gpuRecords = byCat, gpu
+		v.gpuRecords = gpu
 	})
+	return v.gpuRecords
 }
 
 // InterarrivalHours returns the whole-log inter-arrival gaps in hours, in
@@ -232,7 +208,7 @@ func (v *View) InterarrivalHours() []float64 {
 func (v *View) SortedInterarrivalHours() []float64 {
 	v.sortedGapsOnce.Do(func() {
 		defer obs.StartSpan("index/gaps-sorted").End()
-		v.sortedGaps = sortedCopy(v.InterarrivalHours())
+		v.sortedGaps = sortedCopy(v.InterarrivalHours(), nil)
 	})
 	return v.sortedGaps
 }
@@ -252,7 +228,7 @@ func (v *View) RecoveryHours() []float64 {
 func (v *View) SortedRecoveryHours() []float64 {
 	v.sortedRecoveryOnce.Do(func() {
 		defer obs.StartSpan("index/recovery-sorted").End()
-		v.sortedRecovery = sortedCopy(v.RecoveryHours())
+		v.sortedRecovery = sortedCopy(v.RecoveryHours(), nil)
 	})
 	return v.sortedRecovery
 }
@@ -275,15 +251,42 @@ func (v *View) CategoryRecovery(cat failures.Category) []float64 {
 func (v *View) buildCategorySeries() {
 	v.catSeriesOnce.Do(func() {
 		defer obs.StartSpan("index/category-series").End()
-		parts := v.CategoryCounts() // sizes the per-category slices exactly
-		gaps := make(map[failures.Category][]float64, len(parts))
-		recov := make(map[failures.Category][]float64, len(parts))
-		v.buildPartitions()
-		for cat, records := range v.catRecords {
-			gaps[cat] = interarrival(records)
-			recov[cat] = recoveryHours(records)
+		// One chronological pass fills every category's series at once,
+		// each sized exactly from the counts; a category's gap is taken
+		// against its own previous occurrence. Dense slots keep the
+		// per-record work to one map lookup.
+		counts := v.CategoryCounts()
+		type series struct {
+			gaps, recov []float64
+			last        time.Time
 		}
-		v.catGaps, v.catRecovery = gaps, recov
+		slot := make(map[failures.Category]int, len(counts))
+		all := make([]series, 0, len(counts))
+		for cat, n := range counts {
+			slot[cat] = len(all)
+			s := series{recov: make([]float64, 0, n)}
+			if n > 1 {
+				s.gaps = make([]float64, 0, n-1)
+			}
+			all = append(all, s)
+		}
+		records := v.Records()
+		for i := range records {
+			r := &records[i]
+			s := &all[slot[r.Category]]
+			if len(s.recov) > 0 {
+				s.gaps = append(s.gaps, r.Time.Sub(s.last).Hours())
+			}
+			s.last = r.Time
+			s.recov = append(s.recov, r.Recovery.Hours())
+		}
+		gaps := make(map[failures.Category][]float64, len(counts))
+		recov := make(map[failures.Category][]float64, len(counts))
+		last := make(map[failures.Category]time.Time, len(counts))
+		for cat, k := range slot {
+			gaps[cat], recov[cat], last[cat] = all[k].gaps, all[k].recov, all[k].last
+		}
+		v.catGaps, v.catRecovery, v.catLast = gaps, recov, last
 	})
 }
 
@@ -305,13 +308,20 @@ func (v *View) buildCategorySorted() {
 	v.catSortedOnce.Do(func() {
 		defer obs.StartSpan("index/category-series-sorted").End()
 		v.buildCategorySeries()
+		// A category's recovery series is its longest (gaps hold one
+		// fewer), so the largest count sizes the family's one scratch.
+		maxN := 0
+		for _, n := range v.CategoryCounts() {
+			maxN = max(maxN, n)
+		}
+		scratch := radixScratch(maxN)
 		gaps := make(map[failures.Category][]float64, len(v.catGaps))
 		recov := make(map[failures.Category][]float64, len(v.catRecovery))
 		for cat, xs := range v.catGaps {
-			gaps[cat] = sortedCopy(xs)
+			gaps[cat] = sortedCopy(xs, scratch)
 		}
 		for cat, xs := range v.catRecovery {
-			recov[cat] = sortedCopy(xs)
+			recov[cat] = sortedCopy(xs, scratch)
 		}
 		v.catGapsSorted, v.catRecoverySorted = gaps, recov
 	})
@@ -344,21 +354,27 @@ func (v *View) buildMonthly() {
 		defer obs.StartSpan("index/monthly").End()
 		records := v.Records()
 		// Array-bucketed two-pass build: count, size exactly, fill — no map
-		// operations in the per-record loops.
+		// operations in the per-record loops, and the calendar arithmetic
+		// of Time.Month done once per record, in the count pass.
+		months := make([]uint8, len(records))
 		var perMonth [13]int
 		for i := range records {
-			perMonth[records[i].Time.Month()]++
+			m := records[i].Time.Month()
+			months[i] = uint8(m)
+			perMonth[m]++
 		}
+		maxN := 0
 		var series [13][]float64
 		for m := time.January; m <= time.December; m++ {
 			if perMonth[m] > 0 {
 				series[m] = make([]float64, 0, perMonth[m])
+				maxN = max(maxN, perMonth[m])
 			}
 		}
-		for i := range records {
-			m := records[i].Time.Month()
+		for i, m := range months {
 			series[m] = append(series[m], records[i].Recovery.Hours())
 		}
+		scratch := radixScratch(maxN)
 		recov := make(map[time.Month][]float64, 12)
 		sorted := make(map[time.Month][]float64, 12)
 		counts := make(map[time.Month]int, 12)
@@ -367,7 +383,7 @@ func (v *View) buildMonthly() {
 				continue
 			}
 			recov[m] = series[m]
-			sorted[m] = sortedCopy(series[m])
+			sorted[m] = sortedCopy(series[m], scratch)
 			counts[m] = perMonth[m]
 		}
 		v.monthlyRecov, v.monthlySorted, v.monthlyCounts = recov, sorted, counts
@@ -436,8 +452,9 @@ func (v *View) buildHWSWSorted() {
 	v.hwswSortedOnce.Do(func() {
 		defer obs.StartSpan("index/hw-sw-sorted").End()
 		v.buildHWSW()
-		v.hwRecoverySorted = sortedCopy(v.hwRecovery)
-		v.swRecoverySorted = sortedCopy(v.swRecovery)
+		scratch := radixScratch(max(len(v.hwRecovery), len(v.swRecovery)))
+		v.hwRecoverySorted = sortedCopy(v.hwRecovery, scratch)
+		v.swRecoverySorted = sortedCopy(v.swRecovery, scratch)
 	})
 }
 
@@ -465,15 +482,5 @@ func recoveryHours(records []failures.Failure) []float64 {
 	for i := range records {
 		out[i] = records[i].Recovery.Hours()
 	}
-	return out
-}
-
-// sortedCopy clones and ascending-sorts a sample; nil in, nil out.
-func sortedCopy(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
 	return out
 }

@@ -23,7 +23,11 @@ func TestViewInvariantUnderPermutation(t *testing.T) {
 	testutil.RequireDeepEqual(t, base.SortedRecoveryHours(), permuted.SortedRecoveryHours(), "sorted recoveries")
 	testutil.RequireDeepEqual(t, base.GPURecords(), permuted.GPURecords(), "GPU partition")
 	for cat := range base.CategoryCounts() {
-		testutil.RequireDeepEqual(t, base.CategoryRecords(cat), permuted.CategoryRecords(cat), "category partition "+string(cat))
+		sub := log.Filter(func(f failures.Failure) bool { return f.Category == cat })
+		for name, v := range map[string]*View{"base": base, "permuted": permuted} {
+			testutil.RequireDeepEqual(t, v.CategoryGaps(cat), sub.InterarrivalHours(), name+" category gaps "+string(cat))
+			testutil.RequireDeepEqual(t, v.CategoryRecovery(cat), sub.RecoveryHours(), name+" category recovery "+string(cat))
+		}
 	}
 }
 

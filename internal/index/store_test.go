@@ -219,15 +219,13 @@ func TestStoreConcurrentIngestAndReads(t *testing.T) {
 	compareAllFacets(t, final.View(), index.New(wantLog))
 }
 
-// TestStoreConcurrentCategorySeriesCarry hammers the narrow window the
-// delta builder is exposed to: a reader completing buildCategorySeries
-// (which materializes the category partitions inside its own once)
-// between nextView's partition check and its catSeries check. An
-// unguarded carry hands the next epoch category series without
-// partitions, and the append after that bridges per-category gaps
-// against nil — silently dropping gap samples. Each iteration races one
-// reader against two appends and then compares the category facets to a
-// batch build.
+// TestStoreConcurrentCategorySeriesCarry hammers the window the delta
+// builder is exposed to: a reader completing buildCategorySeries while
+// nextView decides what to carry. A carry that took the category series
+// without the per-category last occurrences they were built with would
+// make the append after it bridge per-category gaps against nothing —
+// silently dropping gap samples. Each iteration races one reader against
+// two appends and then compares the category facets to a batch build.
 func TestStoreConcurrentCategorySeriesCarry(t *testing.T) {
 	recs := storeRecords(t, 90)
 	wantLog, err := failures.NewLog(failures.Tsubame2, recs)
