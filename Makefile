@@ -110,15 +110,17 @@ profile-study:
 	$(GO) test -bench='^BenchmarkPerfAnalyzeReport100k$$' -benchtime=20x -run='^$$' \
 		-cpuprofile PROFILE_study_cpu.out -memprofile PROFILE_study_mem.out .
 
-## fuzz-smoke: coverage-guided fuzzing on the trace parsers and the
-## index's radix sort kernel, 15 s per target. Go permits one -fuzz
-## target per invocation, so the targets run back to back.
+## fuzz-smoke: coverage-guided fuzzing on the trace parsers, the
+## index's radix sort kernel and the Weibull fit's power kernel, 15 s
+## per target. Go permits one -fuzz target per invocation, so the
+## targets run back to back.
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzReadCSV$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadNDJSON$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzParseNDJSONRecord$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadTSBC$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzSortFloats$$' -fuzztime=15s -run='^$$' ./internal/index/
+	$(GO) test -fuzz='^FuzzWeibullPow$$' -fuzztime=15s -run='^$$' ./internal/dist/
 
 ## remediate-smoke: CLI contracts of the closed-loop policy comparison —
 ## the canonical tsubame-remediate report must match the committed e2e

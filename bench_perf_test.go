@@ -498,6 +498,22 @@ func BenchmarkPerfFleetSim100k(b *testing.B) {
 // failures and false alarms on top. This is the per-node state-machine
 // and cordon-queue hot path under real event pressure.
 func BenchmarkPerfRemediate100k(b *testing.B) {
+	benchRemediate100k(b, remediate.PredictionInitiated{})
+}
+
+// BenchmarkPerfRemediateBatch100k is the same closed loop under the
+// weekly maintenance-window policy: every cordon waits for the next
+// 168 h boundary, so thousands of events share one timestamp and one
+// calendar bucket — the clustered-time drain that dominates the
+// planner's policy comparison.
+func BenchmarkPerfRemediateBatch100k(b *testing.B) {
+	b.ReportAllocs()
+	benchRemediate100k(b, remediate.ScheduledBatch{WindowHours: 168})
+}
+
+// benchRemediate100k runs the 100k-node decade-horizon closed loop under
+// policy.
+func benchRemediate100k(b *testing.B, policy remediate.Policy) {
 	procs := fleetProcesses(b)
 	cfg := remediate.Config{
 		Nodes:        100_000,
@@ -505,7 +521,7 @@ func BenchmarkPerfRemediate100k(b *testing.B) {
 		HorizonHours: 87_600,
 		Processes:    procs,
 		Crews:        1024,
-		Policy:       remediate.PredictionInitiated{},
+		Policy:       policy,
 		Steps:        remediate.DefaultSteps(),
 		Predictor: remediate.Predictor{
 			Accuracy:           0.5,

@@ -106,6 +106,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"report", "tsubame-report", []string{"-seed", "42"}},
 		{"digest", "tsubame-digest", []string{"-in", "testdata/t2-seed42.csv", "-days", "30"}},
 		{"diff", "tsubame-diff", []string{"-before", "testdata/t2-before.csv", "-after", "testdata/t2-after.csv"}},
+		{"fit", "tsubame-fit", []string{"-in", "testdata/t2-seed42.csv", "-parallel", "1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

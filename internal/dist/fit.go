@@ -48,8 +48,10 @@ func FitLogNormal(xs []float64) (LogNormal, error) {
 }
 
 // FitWeibull returns the maximum-likelihood Weibull fit, solving the shape
-// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by Newton
-// iteration with bisection fallback, then setting the scale from the shape.
+// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by
+// bracketing the root and bisecting, then setting the scale from the
+// shape. Each pass evaluates x^k from the cached ln x and Frexp(x) of
+// every observation, bit-identical to math.Pow.
 func FitWeibull(xs []float64) (Weibull, error) {
 	if len(xs) < 2 {
 		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
@@ -64,19 +66,14 @@ func FitWeibull(xs []float64) (Weibull, error) {
 		meanLog += logs[i]
 	}
 	meanLog /= float64(len(xs))
+	s := newPowSample(xs, logs)
 
 	g := func(k float64) float64 {
-		var sxk, sxkl float64
-		for i, x := range xs {
-			xk := math.Pow(x, k)
-			sxk += xk
-			sxkl += xk * logs[i]
-		}
+		sxk, sxkl := s.sums(k)
 		return sxkl/sxk - 1/k - meanLog
 	}
 
-	// g is increasing in k; bracket the root then bisect (robust against
-	// the occasional flat region that defeats pure Newton).
+	// g is increasing in k; bracket the root then bisect.
 	lo, hi := 1e-3, 1.0
 	for g(hi) < 0 && hi < 1e3 {
 		lo = hi
@@ -95,10 +92,7 @@ func FitWeibull(xs []float64) (Weibull, error) {
 	}
 	k := (lo + hi) / 2
 
-	var sxk float64
-	for _, x := range xs {
-		sxk += math.Pow(x, k)
-	}
+	sxk, _ := s.sums(k)
 	lambda := math.Pow(sxk/float64(len(xs)), 1/k)
 	return NewWeibull(k, lambda)
 }

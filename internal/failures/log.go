@@ -2,6 +2,7 @@ package failures
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -216,6 +217,58 @@ func (l *Log) ByCategory() map[Category]int {
 	for _, r := range l.records {
 		out[r.Category]++
 	}
+	return out
+}
+
+// CategorySample is one category's share of a log, gathered by
+// CategorySamples without building the category's sub-log.
+type CategorySample struct {
+	Category Category
+	// Count is the category's record count.
+	Count int
+	// Gaps are the hours between consecutive records of the category, in
+	// log order: the sub-log's InterarrivalHours, Count-1 values.
+	Gaps []float64
+	// Recovery is each record's time to recovery in hours, in log order:
+	// the sub-log's RecoveryHours.
+	Recovery []float64
+	// Involvement[k-1] counts the category's records naming k GPU slots,
+	// for k in [1, GPUsPerNode]; records naming none are not counted.
+	Involvement []int
+}
+
+// CategorySamples splits the log by category in one pass over its
+// records, returning one sample per category present, ascending by
+// category name. Each sample's gaps and recovery hours are computed
+// exactly as on the category's Filter sub-log, without copying a record.
+func (l *Log) CategorySamples() []CategorySample {
+	slots := GPUsPerNode(l.system)
+	var (
+		out  []CategorySample
+		prev []time.Time // prev[j]: time of out[j]'s latest record
+		at   = make(map[Category]int)
+	)
+	for i := range l.records {
+		r := &l.records[i]
+		j, ok := at[r.Category]
+		if !ok {
+			j = len(out)
+			at[r.Category] = j
+			out = append(out, CategorySample{Category: r.Category, Involvement: make([]int, slots)})
+			prev = append(prev, r.Time)
+		}
+		s := &out[j]
+		if s.Count > 0 {
+			s.Gaps = append(s.Gaps, r.Time.Sub(prev[j]).Hours())
+			prev[j] = r.Time
+		}
+		s.Count++
+		s.Recovery = append(s.Recovery, r.Recovery.Hours())
+		if k := min(len(r.GPUs), slots); k > 0 {
+			s.Involvement[k-1]++
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Category < out[j].Category })
 	return out
 }
 

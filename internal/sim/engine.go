@@ -58,6 +58,14 @@ const (
 	shrinkFactor = 8
 )
 
+// heapThreshold is the current-bucket population above which peekPop
+// stops min-scanning and heap-orders the bucket in place. Buckets are
+// small by construction except when many events share one timestamp
+// (a maintenance window releasing every deferred cordon at once): no
+// bucket width can spread equal times, and a min-scan drain of n equal
+// times is O(n²).
+const heapThreshold = 32
+
 // Engine is the discrete-event core: a clock and a time-ordered event
 // queue. The zero value is ready to use.
 //
@@ -82,6 +90,9 @@ type Engine struct {
 	cur      int          // current (lowest non-drained) bucket index
 	far      []eventRec   // overflow tier: events at/after the window end
 	size     int          // total queued events, both tiers
+	// heaped reports that buckets[cur] is a binary min-heap by (time,
+	// seq); cleared whenever cur moves or the buckets are rebuilt.
+	heaped bool
 }
 
 // Now returns the current simulation time in hours.
@@ -130,37 +141,61 @@ func (e *Engine) push(rec eventRec) {
 	if e.size > len(e.buckets)*growFactor && len(e.buckets) < maxBuckets {
 		e.reindex(e.size)
 	}
-	e.place(rec)
+	if e.place(rec) == e.cur && e.heaped {
+		b := e.buckets[e.cur]
+		siftUp(b, len(b)-1)
+	}
 }
 
-// place routes a record to its bucket or the far tier. Records below the
-// current bucket (possible when the clock lags the drained window edge)
-// clamp to the current bucket; the in-bucket (time, seq) scan keeps them
-// ordered.
-func (e *Engine) place(rec eventRec) {
+// place routes a record to its bucket or the far tier and returns the
+// bucket index, -1 for the far tier. Records below the current bucket
+// (possible when the clock lags the drained window edge) clamp to the
+// current bucket; the in-bucket (time, seq) scan or heap keeps them
+// ordered. place stays small enough to inline into push, reindex and
+// rebase.
+func (e *Engine) place(rec eventRec) int {
 	// Compare in float space before converting: a distant time over a
 	// narrow width can overflow int.
 	f := (rec.time - e.winStart) / e.width
 	if f >= float64(len(e.buckets)) {
 		e.far = append(e.far, rec)
-		return
+		return -1
 	}
 	idx := int(f)
 	if idx < e.cur {
 		idx = e.cur
 	}
 	e.buckets[idx] = append(e.buckets[idx], rec)
+	return idx
 }
 
 // peekPop removes and returns the globally earliest record if its time
 // is at or before until.
 func (e *Engine) peekPop(until float64) (eventRec, bool) {
 	for {
-		// Drain the current bucket by repeated min-scan: buckets are
-		// unsorted, but bucket ranges partition time, so the in-bucket
-		// minimum is the global minimum.
+		// Bucket ranges partition time, so the current bucket's minimum
+		// is the global minimum. Small buckets are drained by min-scan
+		// with swap-delete; a bucket past heapThreshold is heap-ordered
+		// once and drained from the root.
 		b := e.buckets[e.cur]
 		if len(b) > 0 {
+			if !e.heaped && len(b) > heapThreshold {
+				heapify(b)
+				e.heaped = true
+			}
+			if e.heaped {
+				rec := b[0]
+				if rec.time > until {
+					return eventRec{}, false
+				}
+				last := len(b) - 1
+				b[0] = b[last]
+				b = b[:last]
+				siftDown(b, 0)
+				e.buckets[e.cur] = b
+				e.size--
+				return rec, true
+			}
 			min := 0
 			for i := 1; i < len(b); i++ {
 				if b[i].before(b[min]) {
@@ -179,6 +214,7 @@ func (e *Engine) peekPop(until float64) (eventRec, bool) {
 		}
 		if e.cur+1 < len(e.buckets) {
 			e.cur++
+			e.heaped = false
 			continue
 		}
 		// Window exhausted: everything left is in the far tier. Jump the
@@ -187,6 +223,44 @@ func (e *Engine) peekPop(until float64) (eventRec, bool) {
 			return eventRec{}, false // size bookkeeping says empty
 		}
 		e.rebase()
+	}
+}
+
+// heapify orders b as a binary min-heap by (time, seq).
+func heapify(b []eventRec) {
+	for i := len(b)/2 - 1; i >= 0; i-- {
+		siftDown(b, i)
+	}
+}
+
+// siftDown restores the heap below i after b[i] grew.
+func siftDown(b []eventRec, i int) {
+	n := len(b)
+	for {
+		min := i
+		if l := 2*i + 1; l < n && b[l].before(b[min]) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && b[r].before(b[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		b[i], b[min] = b[min], b[i]
+		i = min
+	}
+}
+
+// siftUp restores the heap above i after b[i] was appended.
+func siftUp(b []eventRec, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !b[i].before(b[p]) {
+			return
+		}
+		b[i], b[p] = b[p], b[i]
+		i = p
 	}
 }
 
@@ -208,6 +282,7 @@ func (e *Engine) rebase() {
 		e.buckets[i] = e.buckets[i][:0]
 	}
 	e.cur = 0
+	e.heaped = false
 	e.winStart = minT
 	far := e.far
 	e.far = e.far[:0]
@@ -250,6 +325,7 @@ func (e *Engine) reindex(n int) {
 	}
 	e.far = e.far[:0]
 	e.cur = 0
+	e.heaped = false
 	e.winStart = e.now
 	if len(all) > 0 {
 		minT := all[0].time

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // refHeap is the pre-calendar-queue engine: a container/heap of event
@@ -96,19 +99,29 @@ func drive(eng typedScheduler, until float64, seed func(typedScheduler), onEvent
 
 func compareDispatch(t *testing.T, name string, until float64, seed func(typedScheduler), onEvent func(typedScheduler, int32, int32)) {
 	t.Helper()
+	if err := diffDispatch(until, seed, onEvent); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// diffDispatch drives the same script through the reference heap and the
+// calendar queue and reports the first divergence in their dispatch
+// traces.
+func diffDispatch(until float64, seed func(typedScheduler), onEvent func(typedScheduler, int32, int32)) error {
 	want := drive(&refHeap{}, until, seed, onEvent)
 	got := drive(&Engine{}, until, seed, onEvent)
-	if len(got) != len(want) {
-		t.Fatalf("%s: calendar queue dispatched %d events, reference heap %d", name, len(got), len(want))
-	}
-	for i := range want {
+	for i := 0; i < len(want) && i < len(got); i++ {
 		if got[i] != want[i] {
-			t.Fatalf("%s: dispatch %d diverged: calendar=%+v heap=%+v", name, i, got[i], want[i])
+			return fmt.Errorf("dispatch %d diverged: calendar=%+v heap=%+v", i, got[i], want[i])
 		}
 	}
-	if len(want) == 0 {
-		t.Fatalf("%s: script dispatched no events", name)
+	if len(got) != len(want) {
+		return fmt.Errorf("calendar queue dispatched %d events, reference heap %d", len(got), len(want))
 	}
+	if len(want) == 0 {
+		return fmt.Errorf("script dispatched no events")
+	}
+	return nil
 }
 
 // TestCalendarMatchesHeapSameTime pins the adversarial case the (time,
@@ -185,6 +198,195 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 				n++
 			})
 	}
+}
+
+// TestCalendarMatchesHeapClusteredDrain compares full dispatch traces
+// on the schedule shape of a maintenance-window policy: over ten
+// thousand events on one timestamp, so the current bucket is drained as
+// a heap. While that heap drains, handlers insert same-bucket events
+// (zero, negative and sub-nanosecond delays) and flood the queue until
+// the calendar reindexes mid-drain; a second cluster waits in the far
+// tier until the window is exhausted and a rebase brings it near. The
+// probes assert each of those paths really ran.
+func TestCalendarMatchesHeapClusteredDrain(t *testing.T) {
+	const (
+		window   = 168.0 // cluster A: every deferred cordon of the first week
+		farT     = 5e5   // cluster B: beyond any window the queue grows to
+		clusterA = 12_000
+		clusterB = 3_000
+	)
+	var (
+		heapedA, insertedHeaped, reindexedHeaped, farPending bool
+		farBeforeB, rebasedToB, heapedB                      bool
+		seenA, seenB                                         int
+	)
+	onEvent := func(eng typedScheduler, kind, arg int32) {
+		e, isCal := eng.(*Engine)
+		now := eng.Now()
+		if isCal && now < farT {
+			// Handlers after cluster A schedule nothing, so if cluster B
+			// is still far at the last earlier dispatch, only a rebase in
+			// peekPop can bring it near.
+			farBeforeB = len(e.far) > 0
+		}
+		switch {
+		case now == window:
+			seenA++
+			if isCal && e.heaped {
+				heapedA = true
+			}
+			if orig := arg - 1000; orig >= 0 && orig < clusterA && (orig < 64 || orig >= clusterA-64) {
+				// Same-bucket arrivals while the bucket is a heap: early
+				// on, and late, when the bucket's later events sit near
+				// the root and an arrival at the cluster's instant must
+				// sift above them.
+				if isCal && e.heaped {
+					insertedHeaped = true
+				}
+				eng.ScheduleEvent(0, evRepairDone, 100_000+arg)
+				eng.ScheduleEvent(-3, evArrival, 200_000+arg)
+				eng.ScheduleEvent(1e-9, evRepairDone, 300_000+arg)
+			}
+			if seenA == clusterA/2 {
+				// Flood mid-drain: the population outgrows the bucket
+				// array and push reindexes under the open heap.
+				nb := 0
+				if isCal {
+					nb = len(e.buckets)
+					farPending = len(e.far) > 0
+				}
+				rng := rand.New(rand.NewSource(3))
+				for i := int32(0); i < 40_000; i++ {
+					eng.ScheduleEvent(1+rng.Float64()*2e5, evArrival, 400_000+i)
+				}
+				if isCal && len(e.buckets) != nb && !e.heaped {
+					reindexedHeaped = true
+				}
+			}
+		case now == farT:
+			seenB++
+			if isCal && seenB == 1 {
+				rebasedToB = farBeforeB
+			}
+			if isCal && e.heaped {
+				heapedB = true
+			}
+			if arg%97 == 0 {
+				eng.ScheduleEvent(0, evArrival, 500_000+arg)
+				eng.ScheduleEvent(-1, evRepairDone, 600_000+arg)
+			}
+		}
+	}
+	compareDispatch(t, "clustered drain", 2e6,
+		func(eng typedScheduler) {
+			seenA, seenB = 0, 0
+			rng := rand.New(rand.NewSource(1))
+			for i := int32(0); i < 200; i++ {
+				eng.ScheduleEvent(rng.Float64()*window, evArrival, i)
+			}
+			for i := int32(0); i < clusterA; i++ {
+				eng.ScheduleEvent(window, evArrival, 1000+i)
+			}
+			// Later events in cluster A's bucket.
+			for i := int32(0); i < 50; i++ {
+				eng.ScheduleEvent(window+0.01*float64(i+1), evRepairDone, 40_000+i)
+			}
+			for i := int32(0); i < clusterB; i++ {
+				eng.ScheduleEvent(farT, evRepairDone, 50_000+i)
+			}
+			eng.ScheduleEvent(1e6, evArrival, 99_999)
+		},
+		onEvent)
+	for _, c := range []struct {
+		ok   bool
+		what string
+	}{
+		{heapedA, "cluster A drained as a heap"},
+		{insertedHeaped, "same-bucket arrivals reached the open heap"},
+		{reindexedHeaped, "a reindex ran in the middle of cluster A's drain"},
+		{farPending, "cluster B waited in the far tier"},
+		{rebasedToB, "a rebase re-anchored the window at cluster B"},
+		{heapedB, "cluster B drained as a heap after the rebase"},
+	} {
+		if !c.ok {
+			t.Errorf("scenario did not exercise: %s", c.what)
+		}
+	}
+}
+
+// TestPropertyClusteredSchedules is the shrinking differential: each
+// case draws a handful of shared timestamps, clusters of events on them
+// (often past heapThreshold), scattered singletons, and per-dispatch
+// cascades with zero, negative, tiny, same-timestamp and far delays. A
+// divergence from the reference heap shrinks to a minimal schedule.
+func TestPropertyClusteredSchedules(t *testing.T) {
+	type op struct {
+		delay float64
+		kind  int32
+		next  bool // delay to the next shared timestamp ahead, if any
+	}
+	testutil.Check(t, 60, func(g *testutil.Gen) error {
+		stamps := make([]float64, 1+g.Intn(4))
+		for i := range stamps {
+			stamps[i] = float64(g.Intn(6)) * 168
+			if g.Bool() {
+				stamps[i] += 1e4 * float64(g.Intn(100)) // far-tier cluster
+			}
+		}
+		var seedOps []op
+		for c := g.Intn(6); c >= 0; c-- {
+			at := stamps[g.Intn(len(stamps))]
+			for k := g.Intn(400); k > 0; k-- {
+				seedOps = append(seedOps, op{delay: at, kind: int32(g.Intn(2))})
+			}
+			for k := g.Intn(20); k > 0; k-- {
+				seedOps = append(seedOps, op{delay: g.Float64() * 1000, kind: evArrival})
+			}
+		}
+		if len(seedOps) == 0 {
+			return testutil.Skip
+		}
+		cascades := make([]op, g.Intn(2*len(seedOps)+1))
+		for i := range cascades {
+			switch g.Intn(6) {
+			case 0:
+				cascades[i] = op{delay: 0, kind: evArrival}
+			case 1:
+				cascades[i] = op{delay: -1 - g.Float64(), kind: evRepairDone}
+			case 2:
+				cascades[i] = op{delay: 1e-9 * float64(g.Intn(10)), kind: evArrival}
+			case 3:
+				cascades[i] = op{kind: evArrival, next: true}
+			case 4:
+				cascades[i] = op{delay: 1e5 + g.Float64()*1e6, kind: evRepairDone}
+			default:
+				cascades[i] = op{delay: g.Float64() * 168, kind: evArrival}
+			}
+		}
+		n := 0
+		return diffDispatch(2e7,
+			func(eng typedScheduler) {
+				n = 0
+				for i, o := range seedOps {
+					eng.ScheduleEvent(o.delay, o.kind, int32(i))
+				}
+			},
+			func(eng typedScheduler, kind, arg int32) {
+				if n < len(cascades) {
+					c := cascades[n]
+					if c.next {
+						for _, s := range stamps {
+							if s > eng.Now() {
+								c.delay = s - eng.Now()
+								break
+							}
+						}
+					}
+					eng.ScheduleEvent(c.delay, c.kind, int32(1_000_000+n))
+				}
+				n++
+			})
+	})
 }
 
 // TestEngineSteadyStateAllocs pins the pooled-record property: once the

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -22,20 +21,13 @@ func ProcessesFromLog(log *failures.Log, minCount int) ([]FailureProcess, error)
 	if minCount < 3 {
 		minCount = 3
 	}
-	counts := log.ByCategory()
-	cats := make([]failures.Category, 0, len(counts))
-	for cat, n := range counts {
-		if n >= minCount {
-			cats = append(cats, cat)
-		}
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
 	var procs []FailureProcess
-	for _, cat := range cats {
-		cat := cat
-		sub := log.Filter(func(f failures.Failure) bool { return f.Category == cat })
-		gaps := sub.InterarrivalHours()
-		gaps = positiveOnly(gaps)
+	for _, cs := range log.CategorySamples() {
+		if cs.Count < minCount {
+			continue
+		}
+		cat := cs.Category
+		gaps := positiveOnly(cs.Gaps)
 		if len(gaps) < 2 {
 			continue
 		}
@@ -43,7 +35,7 @@ func ProcessesFromLog(log *failures.Log, minCount int) ([]FailureProcess, error)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fitting inter-arrivals for %s: %w", cat, err)
 		}
-		repairs := positiveOnly(sub.RecoveryHours())
+		repairs := positiveOnly(cs.Recovery)
 		if len(repairs) == 0 {
 			continue
 		}
@@ -60,7 +52,7 @@ func ProcessesFromLog(log *failures.Log, minCount int) ([]FailureProcess, error)
 			Interarrival: fit.Dist,
 			Repair:       repair,
 			Scope:        scope,
-			Involvement:  involvementPMF(sub, failures.GPUsPerNode(log.System())),
+			Involvement:  involvementPMF(cs.Involvement),
 		})
 	}
 	if len(procs) == 0 {
@@ -69,37 +61,28 @@ func ProcessesFromLog(log *failures.Log, minCount int) ([]FailureProcess, error)
 	return procs, nil
 }
 
-// involvementPMF estimates the Table III involvement distribution of a
-// category sub-log; nil when the category never reports involved cards.
-func involvementPMF(sub *failures.Log, slots int) []float64 {
-	if slots < 1 {
-		return nil
-	}
-	counts := make([]int, slots)
+// involvementPMF normalizes a category's Table III involvement histogram
+// (counts[k-1] records naming k cards); nil when the category never
+// reports involved cards.
+func involvementPMF(counts []int) []float64 {
 	total := 0
-	for _, r := range sub.Records() {
-		k := len(r.GPUs)
-		if k < 1 {
-			continue
-		}
-		if k > slots {
-			k = slots
-		}
-		counts[k-1]++
-		total++
+	for _, c := range counts {
+		total += c
 	}
 	if total == 0 {
 		return nil
 	}
-	pmf := make([]float64, slots)
+	pmf := make([]float64, len(counts))
 	for i, c := range counts {
 		pmf[i] = float64(c) / float64(total)
 	}
 	return pmf
 }
 
+// positiveOnly filters xs to its positive values in place; xs is a
+// category sample the caller owns.
 func positiveOnly(xs []float64) []float64 {
-	out := xs[:0:0]
+	out := xs[:0]
 	for _, x := range xs {
 		if x > 0 {
 			out = append(out, x)

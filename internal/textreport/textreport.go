@@ -224,28 +224,23 @@ func Fit(w io.Writer, log *failures.Log, minCount, parallelism int) {
 		positiveOnly(log.InterarrivalHours()),
 		positiveOnly(log.RecoveryHours()),
 	}
-	counts := log.ByCategory()
-	cats := make([]failures.Category, 0, len(counts))
-	for cat, n := range counts {
-		if n >= minCount {
-			cats = append(cats, cat)
+	var cats []failures.CategorySample
+	for _, cs := range log.CategorySamples() {
+		if cs.Count >= minCount {
+			cats = append(cats, cs)
 		}
 	}
 	sort.Slice(cats, func(i, j int) bool {
-		if counts[cats[i]] != counts[cats[j]] {
-			return counts[cats[i]] > counts[cats[j]]
+		if cats[i].Count != cats[j].Count {
+			return cats[i].Count > cats[j].Count
 		}
-		return cats[i] < cats[j]
+		return cats[i].Category < cats[j].Category
 	})
-	for _, cat := range cats {
-		cat := cat
-		sub := log.Filter(func(f failures.Failure) bool { return f.Category == cat })
+	for _, cs := range cats {
 		titles = append(titles,
-			fmt.Sprintf("%s (%d records) time between failures", cat, sub.Len()),
-			fmt.Sprintf("%s time to recovery", cat))
-		samples = append(samples,
-			positiveOnly(sub.InterarrivalHours()),
-			positiveOnly(sub.RecoveryHours()))
+			fmt.Sprintf("%s (%d records) time between failures", cs.Category, cs.Count),
+			fmt.Sprintf("%s time to recovery", cs.Category))
+		samples = append(samples, positiveOnly(cs.Gaps), positiveOnly(cs.Recovery))
 	}
 
 	fitted := dist.FitAllMany(samples, parallelism)
