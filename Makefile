@@ -111,7 +111,7 @@ profile-study:
 		-cpuprofile PROFILE_study_cpu.out -memprofile PROFILE_study_mem.out .
 
 ## fuzz-smoke: coverage-guided fuzzing on the trace parsers, the
-## index's radix sort kernel and the Weibull fit's power kernel, 15 s
+## index's radix sort kernel and the Weibull fit's Newton solver, 15 s
 ## per target. Go permits one -fuzz target per invocation, so the
 ## targets run back to back.
 fuzz-smoke:
@@ -120,7 +120,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseNDJSONRecord$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzReadTSBC$$' -fuzztime=15s -run='^$$' ./internal/trace/
 	$(GO) test -fuzz='^FuzzSortFloats$$' -fuzztime=15s -run='^$$' ./internal/index/
-	$(GO) test -fuzz='^FuzzWeibullPow$$' -fuzztime=15s -run='^$$' ./internal/dist/
+	$(GO) test -fuzz='^FuzzFitWeibull$$' -fuzztime=15s -run='^$$' ./internal/dist/
 
 ## remediate-smoke: CLI contracts of the closed-loop policy comparison —
 ## the canonical tsubame-remediate report must match the committed e2e

@@ -47,54 +47,121 @@ func FitLogNormal(xs []float64) (LogNormal, error) {
 	return NewLogNormal(mu, sigma)
 }
 
-// FitWeibull returns the maximum-likelihood Weibull fit, solving the shape
-// equation g(k) = sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0 by
-// bracketing the root and bisecting, then setting the scale from the
-// shape. Each pass evaluates x^k from the cached ln x and Frexp(x) of
-// every observation, bit-identical to math.Pow.
+// The Weibull shape search's bracket. A root of the shape equation above
+// weibullMaxShape is an error. None lies below weibullMinShape: g(k) <=
+// k*r^2/4 - 1/k for a sample whose logs span r, and float64 spans r <
+// 1455, so every root exceeds 2/r > 1.37e-3.
+const (
+	weibullMinShape = 1e-3
+	weibullMaxShape = 1024
+)
+
+// FitWeibull returns the maximum-likelihood Weibull fit. The shape k is
+// the root of the profile-likelihood equation
+//
+//	g(k) = S1/S0 - 1/k - mean(ln x) = 0,  Sj = sum(x^k (ln x)^j),
+//
+// which increases with k. FitWeibull solves it by Newton's method, with
+// g'(k) = S2/S0 - (S1/S0)^2 + 1/k^2 taken from the same pass over the
+// sample, from Menon's moment estimate pi/(sqrt(6)*sd(ln x)). A bracket
+// on [1e-3, 1024] safeguards every step: a step that leaves the bracket
+// bisects it instead, once g(1024) has been evaluated, and probes 1024
+// before that. The sums run over d = ln x - max ln x, so every term
+// exp(k*d) lies in (0, 1] and no shape overflows them or underflows them
+// all. The scale is lambda = exp(max ln x + ln(S0/n)/k), with S0 over the
+// same shifted terms. A fit takes 4 to 16 passes of exp over the sample
+// (5 on the inter-arrival gaps of a failure log's categories).
+//
+// The shape agrees with a bisection of the same equation to within its
+// stopping width 1e-10*(1+k). A sample whose root lies above 1024, such
+// as one with every observation equal, is an error.
 func FitWeibull(xs []float64) (Weibull, error) {
 	if len(xs) < 2 {
 		return Weibull{}, fmt.Errorf("dist: weibull fit needs at least 2 observations, got %d", len(xs))
 	}
-	logs := make([]float64, len(xs))
-	var meanLog float64
+	d := make([]float64, len(xs))
+	maxLog := math.Inf(-1)
 	for i, x := range xs {
 		if !(x > 0) {
 			return Weibull{}, fmt.Errorf("dist: weibull fit requires positive observations, got %v", x)
 		}
-		logs[i] = math.Log(x)
-		meanLog += logs[i]
+		if math.IsInf(x, 1) {
+			return Weibull{}, fmt.Errorf("dist: weibull fit requires finite observations, got %v", x)
+		}
+		d[i] = math.Log(x)
+		maxLog = max(maxLog, d[i])
 	}
-	meanLog /= float64(len(xs))
-	s := newPowSample(xs, logs)
+	n := float64(len(xs))
+	var meanD float64
+	for i := range d {
+		d[i] -= maxLog
+		meanD += d[i]
+	}
+	meanD /= n
+	var ss float64
+	for _, di := range d {
+		ss += (di - meanD) * (di - meanD)
+	}
+	s := weibullShape{d: d, meanD: meanD}
 
-	g := func(k float64) float64 {
-		sxk, sxkl := s.sums(k)
-		return sxkl/sxk - 1/k - meanLog
-	}
-
-	// g is increasing in k; bracket the root then bisect.
-	lo, hi := 1e-3, 1.0
-	for g(hi) < 0 && hi < 1e3 {
-		lo = hi
-		hi *= 2
-	}
-	if g(hi) < 0 {
-		return Weibull{}, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", hi)
-	}
-	for i := 0; i < 200 && hi-lo > 1e-10*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if g(mid) < 0 {
-			lo = mid
+	// g(lo) < 0 holds from the start (see weibullMinShape); g(hi) >= 0
+	// only once hiSeen.
+	lo, hi := weibullMinShape, float64(weibullMaxShape)
+	hiSeen := false
+	// Menon's moment estimate: sd(ln x) = pi/(k*sqrt(6)).
+	k := min(max(math.Pi/math.Sqrt(6*ss/n), lo), hi)
+	for i := 0; i < 200; i++ {
+		g, dg := s.eval(k)
+		if g < 0 {
+			if k == weibullMaxShape {
+				return Weibull{}, fmt.Errorf("dist: weibull shape did not bracket within (0, %g]", float64(weibullMaxShape))
+			}
+			lo = k
 		} else {
-			hi = mid
+			hi, hiSeen = k, true
+		}
+		next := k - g/dg
+		if !(next > lo && next < hi) {
+			// Leaving the bracket: probe its top, or bisect once the
+			// top is known to lie above the root.
+			next = hi
+			if hiSeen {
+				next = (lo + hi) / 2
+			}
+		}
+		done := math.Abs(next-k) <= 1e-11*(1+k) || hi-lo <= 1e-11*(1+hi)
+		k = next
+		if done {
+			break
 		}
 	}
-	k := (lo + hi) / 2
 
-	sxk, _ := s.sums(k)
-	lambda := math.Pow(sxk/float64(len(xs)), 1/k)
-	return NewWeibull(k, lambda)
+	var s0 float64
+	for _, di := range d {
+		s0 += math.Exp(k * di)
+	}
+	return NewWeibull(k, math.Exp(maxLog+math.Log(s0/n)/k))
+}
+
+// weibullShape is the shape equation over a sample's shifted logs d =
+// ln x - max ln x, with meanD their mean.
+type weibullShape struct {
+	d     []float64
+	meanD float64
+}
+
+// eval returns g(k) and g'(k) from one pass: with t = exp(k*d), the
+// weighted mean and variance of d under the weights t.
+func (s weibullShape) eval(k float64) (g, dg float64) {
+	var s0, s1, s2 float64
+	for _, di := range s.d {
+		t := math.Exp(k * di)
+		s0 += t
+		s1 += t * di
+		s2 += t * di * di
+	}
+	m := s1 / s0
+	return m - 1/k - s.meanD, max(s2/s0-m*m, 0) + 1/(k*k)
 }
 
 // Fit pairs a fitted distribution with its goodness of fit.

@@ -56,13 +56,56 @@ func TestFitWeibullRecovers(t *testing.T) {
 	}
 }
 
+// TestFitWeibullErrors pins FitWeibull's error contract word for word:
+// too few observations, a non-positive or NaN observation (reported
+// before any shape search), and samples whose shape equation has no root
+// below the bracket's top of 1024 — every observation equal, or so
+// nearly equal that the root lies far above it.
 func TestFitWeibullErrors(t *testing.T) {
-	if _, err := FitWeibull([]float64{5}); err == nil {
-		t.Error("single observation should fail")
+	const noBracket = "dist: weibull shape did not bracket within (0, 1024]"
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		want string
+	}{
+		{"empty", nil, "dist: weibull fit needs at least 2 observations, got 0"},
+		{"single", []float64{5}, "dist: weibull fit needs at least 2 observations, got 1"},
+		{"single NaN", []float64{math.NaN()}, "dist: weibull fit needs at least 2 observations, got 1"},
+		{"negative", []float64{1, -1}, "dist: weibull fit requires positive observations, got -1"},
+		{"zero", []float64{1, 2, 0}, "dist: weibull fit requires positive observations, got 0"},
+		{"NaN", []float64{1, math.NaN()}, "dist: weibull fit requires positive observations, got NaN"},
+		{"-Inf", []float64{math.Inf(-1), 1}, "dist: weibull fit requires positive observations, got -Inf"},
+		{"all equal at one", []float64{1, 1}, noBracket},
+		{"all equal", []float64{1.5, 1.5, 1.5}, noBracket},
+		{"all equal below one", []float64{0.75, 0.75}, noBracket},
+		{"near constant", []float64{1, 1 + 1e-9}, noBracket},
+		{"near constant, many", []float64{1.25, 1.25, 1.25, 1.25 * (1 + 1e-6), 1.25}, noBracket},
+		// One low outlier among 999 ones: the root is near 2000, far
+		// above the moment estimate's start of about 80.
+		{"one low outlier", append(ones(999), math.Exp(-0.5)), noBracket},
+	} {
+		w, err := FitWeibull(c.xs)
+		if err == nil {
+			t.Errorf("%s: fit (k=%v, lambda=%v), want error %q", c.name, w.K, w.Lambda, c.want)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
 	}
-	if _, err := FitWeibull([]float64{1, -1}); err == nil {
-		t.Error("negative observation should fail")
+	// Just inside the bracket: two points whose shape root is near 512.
+	if w, err := FitWeibull([]float64{1, math.Exp(1.0 / 256)}); err != nil || !(w.K > 256 && w.K < 1024) {
+		t.Errorf("near-constant pair inside the bracket: fit (k=%v), error %v", w.K, err)
 	}
+}
+
+// ones returns n observations of exactly 1.
+func ones(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = 1
+	}
+	return xs
 }
 
 func TestFitLogNormalRecovers(t *testing.T) {

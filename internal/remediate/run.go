@@ -231,9 +231,14 @@ type procRun struct {
 	stats     CategoryStats
 }
 
-// nodeRun is one node's live remediation state.
+// nodeRun is one node's live remediation state. The two one-byte fields
+// sit together ahead of proc, which keeps the struct at 32 bytes.
 type nodeRun struct {
 	state State
+	// proactive marks the current remediation as prediction-initiated
+	// (cordoned while Healthy); only proactive remediations can avert a
+	// predicted incident.
+	proactive bool
 	// proc is the index of the failure process driving the current
 	// remediation (spare-part acquisition and per-category attribution).
 	proc int32
@@ -243,10 +248,6 @@ type nodeRun struct {
 	// failure instant for detected failures, the cordon instant for
 	// proactive remediations.
 	remStart float64
-	// proactive marks the current remediation as prediction-initiated
-	// (cordoned while Healthy); only proactive remediations can avert a
-	// predicted incident.
-	proactive bool
 	// openSince is the start of the node's open down interval; NaN while
 	// the node is up. A node has at most one open interval, so downtime
 	// can never be double-counted across failure and remediation.

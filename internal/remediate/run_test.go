@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/failures"
@@ -47,6 +48,18 @@ func testConfig(t testing.TB, p Policy) Config {
 
 // TestRunDeterminism checks a run is byte-identical in (config, seed):
 // the full Result marshals to the same JSON across repeated runs.
+// TestNodeRunSize pins the per-node state without padding: state,
+// proactive and proc share the first 8 bytes (32 bytes in all on 64-bit
+// platforms). A what-if pass holds one nodeRun per fleet node per run,
+// and a field order that splits the two one-byte fields pads it to 40.
+func TestNodeRunSize(t *testing.T) {
+	var n nodeRun
+	want := 8 + unsafe.Sizeof(n.resets) + unsafe.Sizeof(n.remStart) + unsafe.Sizeof(n.openSince)
+	if got := unsafe.Sizeof(n); got != want {
+		t.Errorf("nodeRun is %d bytes, want %d", got, want)
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	for _, p := range []Policy{Reactive{}, PredictionInitiated{}, ScheduledBatch{WindowHours: 168}} {
 		first, err := Run(testConfig(t, p))
